@@ -46,7 +46,7 @@ func requireCompleteOrRankError(t *testing.T, spec cluster.Spec, results interfa
 
 type tcpOutcome struct {
 	spec cluster.Spec
-	res  *cluster.TCPResult
+	res  *cluster.RealResult
 }
 
 func (o tcpOutcome) validate() error {
@@ -82,7 +82,7 @@ func TestChaosTCPTransientPlansComplete(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/p%d/seed%d", name, spec.P, seed), func(t *testing.T) {
 					t.Parallel()
 					plan := fault.Transient(seed, spec.P, 6)
-					res, err := cluster.RunTCPFaulty(spec, chaosMsgSize, algo, plan)
+					res, err := cluster.RunOnce(cluster.EngineTCP, spec, cluster.Op{Algo: algo, MsgSize: chaosMsgSize, Plan: plan})
 					if err != nil {
 						t.Fatalf("transient plan must be recoverable, got: %v\nplan: %v", err, plan)
 					}
@@ -116,7 +116,7 @@ func TestChaosTCPRandomPlansCompleteOrFailClosed(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/p%d/seed%d", name, spec.P, seed), func(t *testing.T) {
 					t.Parallel()
 					plan := fault.Random(seed, spec.P, 6)
-					res, err := cluster.RunTCPFaulty(spec, chaosMsgSize, algo, plan)
+					res, err := cluster.RunOnce(cluster.EngineTCP, spec, cluster.Op{Algo: algo, MsgSize: chaosMsgSize, Plan: plan})
 					requireCompleteOrRankError(t, spec, tcpOutcome{spec, res}, err)
 				})
 			}
@@ -144,7 +144,7 @@ func TestChaosRealPlansCompleteOrFailClosed(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/p%d/seed%d", name, spec.P, seed), func(t *testing.T) {
 					t.Parallel()
 					plan := fault.Random(seed, spec.P, 4)
-					res, err := cluster.RunRealFaulty(spec, chaosMsgSize, algo, plan)
+					res, err := cluster.RunOnce(cluster.EngineChan, spec, cluster.Op{Algo: algo, MsgSize: chaosMsgSize, Plan: plan})
 					requireCompleteOrRankError(t, spec, realOutcome{spec, res}, err)
 				})
 			}
@@ -170,7 +170,7 @@ func TestChaosDeterministicVerdict(t *testing.T) {
 	}}
 	var verdicts []string
 	for i := 0; i < 3; i++ {
-		_, err := cluster.RunTCPFaulty(spec, chaosMsgSize, algo, plan)
+		_, err := cluster.RunOnce(cluster.EngineTCP, spec, cluster.Op{Algo: algo, MsgSize: chaosMsgSize, Plan: plan})
 		switch {
 		case err == nil:
 			verdicts = append(verdicts, "ok")
@@ -211,7 +211,7 @@ func TestChaosCorruptionNeverDeliversWrongBytes(t *testing.T) {
 			plan := &fault.Plan{Rules: []fault.Rule{
 				{Src: 0, Dst: 2, Frame: -1, Kind: fault.Corrupt, Offset: 80, Times: -1},
 			}}
-			res, err := cluster.RunTCPFaulty(spec, chaosMsgSize, algo, plan)
+			res, err := cluster.RunOnce(cluster.EngineTCP, spec, cluster.Op{Algo: algo, MsgSize: chaosMsgSize, Plan: plan})
 			if err != nil {
 				var re *cluster.RankError
 				if !errors.As(err, &re) {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -20,6 +22,45 @@ func ringPlain(p *Proc, mine block.Message) block.Message {
 		result = block.Concat(result, cur)
 	}
 	return result
+}
+
+// onceResult is one collective's result plus its session's wire
+// capture (nil off TCP).
+type onceResult struct {
+	*RealResult
+	Sniffer *WireSniffer
+}
+
+// runOnce runs op as one collective on a fresh session of the given
+// engine and closes the session again — the one-shot shape most tests
+// need. Every completed run is also validated end to end, so
+// corruption that lands on unauthenticated bytes under a fault plan
+// (plaintext intra-node traffic, header fields that still parse)
+// surfaces as a structured error rather than a silently wrong gather.
+func runOnce(kind EngineKind, spec Spec, op Op) (*onceResult, error) {
+	s, err := OpenSession(spec, SessionConfig{Engine: kind})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	res, err := s.Collective(context.Background(), op)
+	if err != nil {
+		return nil, err
+	}
+	if verr := ValidateGather(spec, op.MsgSize, res.Results, true); verr != nil {
+		return nil, &RankError{Rank: -1, Peer: -1, Op: "validate",
+			Err: fmt.Errorf("fault corrupted the gathered result: %w", verr)}
+	}
+	return &onceResult{RealResult: res, Sniffer: s.Sniffer()}, nil
+}
+
+// RunOnce is runOnce for the package's external chaos tests.
+func RunOnce(kind EngineKind, spec Spec, op Op) (*RealResult, error) {
+	res, err := runOnce(kind, spec, op)
+	if err != nil {
+		return nil, err
+	}
+	return res.RealResult, nil
 }
 
 func TestSpecMappings(t *testing.T) {
@@ -72,7 +113,7 @@ func TestSpecValidate(t *testing.T) {
 
 func TestRealRingAllgather(t *testing.T) {
 	spec := Spec{P: 8, N: 2, Mapping: BlockMapping}
-	res, err := RunReal(spec, 64, ringPlain)
+	res, err := runOnce(EngineChan, spec, Op{Algo: ringPlain, MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +194,7 @@ func TestEncryptDecryptRealRoundTrip(t *testing.T) {
 		pt := p.DecryptAll(in)
 		return block.Concat(mine, pt)
 	}
-	res, err := RunReal(spec, 128, algo)
+	res, err := runOnce(EngineChan, spec, Op{Algo: algo, MsgSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +267,7 @@ func TestShmAndNodeBarrier(t *testing.T) {
 		remote := p.ShmGet("remote")
 		return block.Concat(node, remote)
 	}
-	res, err := RunReal(spec, 32, algo)
+	res, err := runOnce(EngineChan, spec, Op{Algo: algo, MsgSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +289,10 @@ func TestShmAndNodeBarrier(t *testing.T) {
 
 func TestShmMissingKeyPanics(t *testing.T) {
 	spec := Spec{P: 2, N: 1, Mapping: BlockMapping}
-	_, err := RunReal(spec, 8, func(p *Proc, mine block.Message) block.Message {
+	_, err := runOnce(EngineChan, spec, Op{MsgSize: 8, Algo: func(p *Proc, mine block.Message) block.Message {
 		p.ShmGet("never-put")
 		return mine
-	})
+	}})
 	if err == nil {
 		t.Fatal("expected error for missing shm key")
 	}
@@ -272,7 +313,7 @@ func TestSimDeadlockSurfacesAsError(t *testing.T) {
 
 func TestTamperedCiphertextCaughtEndToEnd(t *testing.T) {
 	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
-	_, err := RunReal(spec, 64, func(p *Proc, mine block.Message) block.Message {
+	_, err := runOnce(EngineChan, spec, Op{MsgSize: 64, Algo: func(p *Proc, mine block.Message) block.Message {
 		other := 1 - p.Rank()
 		ct := p.Encrypt(mine.Chunks...)
 		if p.Rank() == 0 {
@@ -283,7 +324,7 @@ func TestTamperedCiphertextCaughtEndToEnd(t *testing.T) {
 		}
 		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
 		return block.Concat(mine, p.DecryptAll(in))
-	})
+	}})
 	if err == nil {
 		t.Fatal("tampered ciphertext must fail authentication")
 	}

@@ -241,7 +241,7 @@ type SimResult struct {
 
 // RunSim executes algo on every rank inside the discrete-event simulator
 // under the given machine profile and returns the modelled latency along
-// with the same metrics and logical results as the real engine (payloads
+// with the same metrics and logical results as the op engine (payloads
 // are symbolic).
 //
 // Deprecated: one-shot wrapper kept for compatibility and tests; use

@@ -35,7 +35,7 @@ func encRing(p *Proc, mine block.Message) block.Message {
 func TestTCPEngineEncryptedRing(t *testing.T) {
 	spec := Spec{P: 8, N: 4, Mapping: BlockMapping}
 	const m = 128
-	res, err := RunTCP(spec, m, encRing)
+	res, err := runOnce(EngineTCP, spec, Op{Algo: encRing, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTCPEngineEncryptedRing(t *testing.T) {
 func TestTCPSnifferPositiveControl(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
 	const m = 128
-	res, err := RunTCP(spec, m, Plain(encRing))
+	res, err := runOnce(EngineTCP, spec, Op{Algo: Plain(encRing), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTCPEngineShmAndBarrier(t *testing.T) {
 		p.NodeBarrier()
 		return block.Concat(node, p.ShmGet("tcp-remote"))
 	}
-	res, err := RunTCP(spec, 64, algo)
+	res, err := runOnce(EngineTCP, spec, Op{Algo: algo, MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

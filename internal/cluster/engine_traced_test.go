@@ -78,27 +78,27 @@ func checkTracedRun(t *testing.T, spec Spec, res *RealResult, tr *lockedTrace) {
 func TestRealEngineTraced(t *testing.T) {
 	spec := Spec{P: 8, N: 4, Mapping: BlockMapping}
 	tr := &lockedTrace{}
-	res, err := RunRealTraced(spec, 256, encRing, tr)
+	res, err := runOnce(EngineChan, spec, Op{Algo: encRing, MsgSize: 256, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateGather(spec, 256, res.Results, true); err != nil {
 		t.Fatal(err)
 	}
-	checkTracedRun(t, spec, res, tr)
+	checkTracedRun(t, spec, res.RealResult, tr)
 }
 
 func TestTCPEngineTraced(t *testing.T) {
 	spec := Spec{P: 8, N: 4, Mapping: BlockMapping}
 	tr := &lockedTrace{}
-	res, err := RunTCPTraced(spec, 256, encRing, tr)
+	res, err := runOnce(EngineTCP, spec, Op{Algo: encRing, MsgSize: 256, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateGather(spec, 256, res.Results, true); err != nil {
 		t.Fatal(err)
 	}
-	checkTracedRun(t, spec, &res.RealResult, tr)
+	checkTracedRun(t, spec, res.RealResult, tr)
 }
 
 // Barriers and copies must show up in wall-clock traces from algorithms
@@ -123,7 +123,7 @@ func TestRealEngineTracedBarrierAndCopy(t *testing.T) {
 		return block.Concat(node, p.ShmGet("trc-remote"))
 	}
 	tr := &lockedTrace{}
-	res, err := RunRealTraced(spec, 64, algo, tr)
+	res, err := runOnce(EngineChan, spec, Op{Algo: algo, MsgSize: 64, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +142,10 @@ func TestRealEngineTracedBarrierAndCopy(t *testing.T) {
 // A nil tracer must keep both engines on their zero-overhead path.
 func TestUntracedRunsStillWork(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
-	if _, err := RunReal(spec, 128, encRing); err != nil {
+	if _, err := runOnce(EngineChan, spec, Op{Algo: encRing, MsgSize: 128}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunTCP(spec, 128, encRing); err != nil {
+	if _, err := runOnce(EngineTCP, spec, Op{Algo: encRing, MsgSize: 128}); err != nil {
 		t.Fatal(err)
 	}
 }

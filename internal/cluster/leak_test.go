@@ -67,7 +67,7 @@ func TestTCPRankFailureSurfacesRootCause(t *testing.T) {
 		}
 		return ringStep(p, mine, 6)
 	}
-	_, err := RunTCP(spec, 512, boom)
+	_, err := runOnce(EngineTCP, spec, Op{Algo: boom, MsgSize: 512})
 	if err == nil {
 		t.Fatal("run with a panicking rank reported success")
 	}
@@ -95,7 +95,7 @@ func TestRealRankFailureSurfacesRootCause(t *testing.T) {
 		}
 		return ringStep(p, mine, 6)
 	}
-	_, err := RunReal(spec, 512, boom)
+	_, err := runOnce(EngineChan, spec, Op{Algo: boom, MsgSize: 512})
 	var re *RankError
 	if err == nil || !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *RankError", err)
@@ -116,7 +116,7 @@ func TestTCPRecvDeadline(t *testing.T) {
 		return mine
 	}
 	start := time.Now()
-	_, err := RunTCP(spec, 64, silent)
+	_, err := runOnce(EngineTCP, spec, Op{Algo: silent, MsgSize: 64})
 	elapsed := time.Since(start)
 	var re *RankError
 	if err == nil || !errors.As(err, &re) {
@@ -138,7 +138,7 @@ func TestRealRecvDeadline(t *testing.T) {
 		}
 		return mine
 	}
-	_, err := RunReal(spec, 64, silent)
+	_, err := runOnce(EngineChan, spec, Op{Algo: silent, MsgSize: 64})
 	var re *RankError
 	if err == nil || !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *RankError", err)
@@ -170,8 +170,8 @@ func TestTimeoutPathDrainsGoroutines(t *testing.T) {
 	}
 
 	for name, run := range map[string]func() error{
-		"real": func() error { _, err := RunReal(spec, 64, stuck); return err },
-		"tcp":  func() error { _, err := RunTCP(spec, 64, stuck); return err },
+		"real": func() error { _, err := runOnce(EngineChan, spec, Op{Algo: stuck, MsgSize: 64}); return err },
+		"tcp":  func() error { _, err := runOnce(EngineTCP, spec, Op{Algo: stuck, MsgSize: 64}); return err },
 	} {
 		before := runtime.NumGoroutine()
 		err := run()
@@ -239,7 +239,7 @@ func TestSnifferCountsOnlyWrittenBytes(t *testing.T) {
 func TestFaultyRunWithEmptyPlanIsClean(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
 	for _, plan := range []*fault.Plan{nil, {}} {
-		res, err := RunTCPFaulty(spec, 1024, ringPlain, plan)
+		res, err := runOnce(EngineTCP, spec, Op{Algo: ringPlain, MsgSize: 1024, Plan: plan})
 		if err != nil {
 			t.Fatalf("plan %v: %v", plan, err)
 		}

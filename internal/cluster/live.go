@@ -136,33 +136,26 @@ func newLiveMetrics(reg *metrics.Registry, spec Spec, kind EngineKind) *liveMetr
 	lm.pipeWindow = reg.Gauge(MetricPipeWindow, "Configured per-stream in-flight segment window (0: pipelining off).")
 	lm.pipeStreamSegments = reg.Histogram(MetricPipeStreamSegments, "Segments per completed receive stream.")
 
-	lm.framesSentTotal = reg.Counter(MetricFramesSent, "Frames sent, by directed rank pair.")
-	lm.framesRecvTotal = reg.Counter(MetricFramesRecv, "Frames delivered, by directed rank pair.")
-	lm.bytesSentTotal = reg.Counter(MetricBytesSent, "Payload bytes sent, by directed rank pair.")
-	lm.bytesRecvTotal = reg.Counter(MetricBytesRecv, "Payload bytes delivered, by directed rank pair.")
-	lm.framesSent = make([][]*metrics.Counter, spec.P)
-	lm.framesRecv = make([][]*metrics.Counter, spec.P)
-	lm.bytesSent = make([][]*metrics.Counter, spec.P)
-	lm.bytesRecv = make([][]*metrics.Counter, spec.P)
-	for s := 0; s < spec.P; s++ {
-		lm.framesSent[s] = make([]*metrics.Counter, spec.P)
-		lm.framesRecv[s] = make([]*metrics.Counter, spec.P)
-		lm.bytesSent[s] = make([]*metrics.Counter, spec.P)
-		lm.bytesRecv[s] = make([]*metrics.Counter, spec.P)
-		for d := 0; d < spec.P; d++ {
-			if s == d {
-				continue
+	// Each transport family holds an unlabelled total plus one series
+	// per directed rank pair (nil on the diagonal).
+	pairs := func(name, help string) (*metrics.Counter, [][]*metrics.Counter) {
+		total := reg.Counter(name, help)
+		byPair := make([][]*metrics.Counter, spec.P)
+		for s := range byPair {
+			byPair[s] = make([]*metrics.Counter, spec.P)
+			for d := range byPair[s] {
+				if s != d {
+					byPair[s][d] = reg.Counter(name, help,
+						metrics.L("src", strconv.Itoa(s)), metrics.L("dst", strconv.Itoa(d)))
+				}
 			}
-			ls := []metrics.Label{
-				metrics.L("src", strconv.Itoa(s)),
-				metrics.L("dst", strconv.Itoa(d)),
-			}
-			lm.framesSent[s][d] = reg.Counter(MetricFramesSent, "Frames sent, by directed rank pair.", ls...)
-			lm.framesRecv[s][d] = reg.Counter(MetricFramesRecv, "Frames delivered, by directed rank pair.", ls...)
-			lm.bytesSent[s][d] = reg.Counter(MetricBytesSent, "Payload bytes sent, by directed rank pair.", ls...)
-			lm.bytesRecv[s][d] = reg.Counter(MetricBytesRecv, "Payload bytes delivered, by directed rank pair.", ls...)
 		}
+		return total, byPair
 	}
+	lm.framesSentTotal, lm.framesSent = pairs(MetricFramesSent, "Frames sent, by directed rank pair.")
+	lm.framesRecvTotal, lm.framesRecv = pairs(MetricFramesRecv, "Frames delivered, by directed rank pair.")
+	lm.bytesSentTotal, lm.bytesSent = pairs(MetricBytesSent, "Payload bytes sent, by directed rank pair.")
+	lm.bytesRecvTotal, lm.bytesRecv = pairs(MetricBytesRecv, "Payload bytes delivered, by directed rank pair.")
 	return lm
 }
 
@@ -289,13 +282,8 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.Poisonings = lm.poisonings.Value()
 	snap.OpLatency = lm.opLatency.Snapshot()
 	snap.QueueDepth = int(s.queueDepth())
-	slr := s.Sealer()
-	sealed, opened := slr.Counts()
-	s.mu.Lock()
-	snap.SegmentsSealed = s.sealedBase + sealed
-	snap.SegmentsOpened = s.openedBase + opened
-	s.mu.Unlock()
-	ps := slr.Pool().Stats()
+	snap.SegmentsSealed, snap.SegmentsOpened = s.segmentTotals()
+	ps := s.Sealer().Pool().Stats()
 	snap.PoolSize = ps.Size
 	snap.PoolWorkers = ps.Workers
 	snap.PoolBusy = ps.Busy
@@ -321,24 +309,26 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.PipelineInlineOpens = lm.pipeInlineOpens.Value()
 	snap.PipelineWindow = int(lm.pipeWindow.Value())
 	snap.PipelineStreamSegments = lm.pipeStreamSegments.Snapshot()
-	if s.mesh != nil {
-		snap.WireBytes = s.mesh.sniffer.Total()
+	if s.sniffer != nil {
+		snap.WireBytes = s.sniffer.Total()
 	}
 	return snap
+}
+
+// segmentTotals returns the segments sealed and opened over the session
+// lifetime: the current sealer's counts on top of the retired sealers'.
+func (s *Session) segmentTotals() (sealed, opened int64) {
+	sealed, opened = s.Sealer().Counts()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sealedBase + sealed, s.openedBase + opened
 }
 
 // queueDepth sums the send schedulers' queued frames across ranks.
 func (s *Session) queueDepth() int64 {
 	var total int64
-	switch {
-	case s.mesh != nil:
-		for _, q := range s.mesh.sendQ {
-			total += int64(q.Len())
-		}
-	case s.cmesh != nil:
-		for _, q := range s.cmesh.sendQ {
-			total += int64(q.Len())
-		}
+	for _, q := range s.mesh.sendQ {
+		total += int64(q.Len())
 	}
 	return total
 }
@@ -354,21 +344,9 @@ func (s *Session) registerRuntimeMetrics() {
 	reg.GaugeFunc(MetricQueueDepth, "Frames queued on the per-rank send schedulers.",
 		func() int64 { return s.queueDepth() })
 	reg.CounterFunc(MetricSegmentsSealed, "AES-GCM segments sealed over the session lifetime.",
-		func() int64 {
-			slr := s.Sealer()
-			sealed, _ := slr.Counts()
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.sealedBase + sealed
-		})
+		func() int64 { sealed, _ := s.segmentTotals(); return sealed })
 	reg.CounterFunc(MetricSegmentsOpened, "AES-GCM segments opened over the session lifetime.",
-		func() int64 {
-			slr := s.Sealer()
-			_, opened := slr.Counts()
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.openedBase + opened
-		})
+		func() int64 { _, opened := s.segmentTotals(); return opened })
 	reg.GaugeFunc(MetricPoolSize, "Crypto worker pool size (worker cap).",
 		func() int64 { return int64(s.Sealer().Pool().Stats().Size) })
 	reg.GaugeFunc(MetricPoolWorkers, "Crypto pool workers currently alive.",
@@ -377,8 +355,8 @@ func (s *Session) registerRuntimeMetrics() {
 		func() int64 { return int64(s.Sealer().Pool().Stats().Busy) })
 	reg.CounterFunc(MetricPoolSaturated, "Segmented operations that degraded to serial on a saturated pool.",
 		func() int64 { return s.Sealer().Pool().Stats().Saturated })
-	if s.mesh != nil {
+	if s.sniffer != nil {
 		reg.CounterFunc(MetricWireBytes, "Cumulative inter-node bytes observed on the wire.",
-			s.mesh.sniffer.Total)
+			s.sniffer.Total)
 	}
 }

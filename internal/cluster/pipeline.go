@@ -1,16 +1,14 @@
-// Intra-collective pipelining: the chan and tcp engines can overlap
+// Intra-collective pipelining: the chan and tcp links can overlap
 // crypto with transport inside one operation by streaming a chunk's
-// sealed segments onto the wire one at a time (internal/seal's
+// sealed segments onto the link one at a time (internal/seal's
 // SealStream/OpenStream, internal/wire's segment sub-frames). A
 // multi-chunk message becomes one envelope sequence interleaving a
 // per-chunk segment stream for every qualifying sealed chunk, plus
 // inline sub-frames for the chunks too small to stream; the receiver
 // assembles the chunks back into the message in order. This file holds
-// the engine-shared pieces: the pipelining configuration, the
+// the link-independent pieces: the pipelining configuration, the
 // per-message send plan, the receive-side message and stream assembly
-// with the op-wide open window, the in-flight stream table of the TCP
-// demux, and the scratch-buffer ring that keeps discarded payloads from
-// allocating.
+// with the op-wide open window, and the in-flight stream table.
 package cluster
 
 import (
@@ -181,7 +179,7 @@ func (w *openWindow) release() {
 	w.mu.Unlock()
 }
 
-// streamKey identifies one in-flight receive message on the TCP demux:
+// streamKey identifies one in-flight receive message of an operation:
 // stream ids are allocated per sending engine, so the (src, dst, id)
 // triple is unique among live pipelined messages; the chunk index in
 // each sub-frame selects the per-chunk stream within the message.
@@ -190,14 +188,12 @@ type streamKey struct {
 	id       uint32
 }
 
-// streamTable tracks the in-flight pipelined messages of a TCP mesh.
+// streamTable tracks an operation's in-flight pipelined messages. The
+// zero value is ready; its map is made on first use, so operations that
+// never pipeline never allocate one.
 type streamTable struct {
 	mu sync.Mutex
 	m  map[streamKey]*msgRecv
-}
-
-func newStreamTable() *streamTable {
-	return &streamTable{m: make(map[streamKey]*msgRecv)}
 }
 
 func (t *streamTable) get(k streamKey) *msgRecv {
@@ -208,6 +204,9 @@ func (t *streamTable) get(k streamKey) *msgRecv {
 
 func (t *streamTable) put(k streamKey, mr *msgRecv) {
 	t.mu.Lock()
+	if t.m == nil {
+		t.m = make(map[streamKey]*msgRecv)
+	}
 	t.m[k] = mr
 	t.mu.Unlock()
 }
@@ -318,7 +317,7 @@ func (mr *msgRecv) failOnce(err error) {
 // while the op-wide open window has room. Arrivals beyond the window
 // are opened inline on the transport goroutine, which stops it reading
 // and so backpressures the sender through TCP flow control (the chan
-// engine shifts the work onto its send loop, bounding the same way).
+// link shifts the work onto its send loop, bounding the same way).
 // The first authentication failure fails the whole stream closed; once
 // every segment has opened, the assembled chunk — blob and pre-opened
 // plaintext — is delivered.
@@ -423,31 +422,4 @@ func (sr *streamRecv) open(i int, async bool) {
 		Payload: sr.os.Blob(),
 		Opened:  sr.os.Plaintext(),
 	})
-}
-
-// bufRing recycles scratch buffers for payload bytes that must be read
-// off a connection but discarded (duplicates, stragglers), so steady
-// junk costs no steady allocation.
-type bufRing struct {
-	ch chan []byte
-}
-
-func newBufRing(n int) *bufRing { return &bufRing{ch: make(chan []byte, n)} }
-
-func (r *bufRing) get(n int) []byte {
-	select {
-	case b := <-r.ch:
-		if cap(b) >= n {
-			return b[:n]
-		}
-	default:
-	}
-	return make([]byte, n)
-}
-
-func (r *bufRing) put(b []byte) {
-	select {
-	case r.ch <- b:
-	default:
-	}
 }

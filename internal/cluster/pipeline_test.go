@@ -45,6 +45,19 @@ func exchangeEncrypted(p *Proc, mine block.Message) block.Message {
 	return block.Concat(mine, p.DecryptAll(in))
 }
 
+// sendTwiceEncrypted has each rank send its block sealed twice, as two
+// messages, and receive only the first: a receive takes its own
+// message, never the pair's next one.
+func sendTwiceEncrypted(p *Proc, mine block.Message) block.Message {
+	other := 1 - p.Rank()
+	first := p.Isend(other, block.Message{Chunks: []block.Chunk{p.Encrypt(mine.Chunks...)}})
+	second := p.Isend(other, block.Message{Chunks: []block.Chunk{p.Encrypt(mine.Chunks...)}})
+	in := p.Recv(other)
+	p.Wait(first)
+	p.Wait(second)
+	return block.Concat(mine, p.DecryptAll(in))
+}
+
 func openPipelined(t *testing.T, spec Spec, kind EngineKind) *Session {
 	t.Helper()
 	s, err := OpenSession(spec, SessionConfig{
@@ -359,11 +372,15 @@ func TestPipelineTCPDropSegmentRecovers(t *testing.T) {
 func TestPipelineChanSegmentFaultsFailClosed(t *testing.T) {
 	cases := []struct {
 		name string
+		algo Algorithm
 		rule fault.Rule
 		ops  []string
 	}{
-		{"corrupt", fault.Rule{Src: 0, Dst: 1, Frame: 1, Kind: fault.Corrupt, Offset: 1234}, []string{"open"}},
-		{"drop", fault.Rule{Src: 0, Dst: 1, Frame: 1, Kind: fault.Drop}, []string{"recv"}},
+		{"corrupt", exchangeEncrypted, fault.Rule{Src: 0, Dst: 1, Frame: 1, Kind: fault.Corrupt, Offset: 1234}, []string{"open"}},
+		{"drop", exchangeEncrypted, fault.Rule{Src: 0, Dst: 1, Frame: 1, Kind: fault.Drop}, []string{"recv"}},
+		// Losing a message's first sub-frame must not hand its receive
+		// the pair's next message.
+		{"drop-first", sendTwiceEncrypted, fault.Rule{Src: 0, Dst: 1, Frame: 0, Kind: fault.Drop}, []string{"recv"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -371,7 +388,7 @@ func TestPipelineChanSegmentFaultsFailClosed(t *testing.T) {
 			s := openPipelined(t, spec, EngineChan)
 			defer s.Close()
 			plan := &fault.Plan{Rules: []fault.Rule{tc.rule}}
-			_, err := s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: pipeSize, Plan: plan})
+			_, err := s.Collective(context.Background(), Op{Algo: tc.algo, MsgSize: pipeSize, Plan: plan})
 			var re *RankError
 			if !errors.As(err, &re) {
 				t.Fatalf("%s segment yielded %v, want a structured rank error", tc.name, err)

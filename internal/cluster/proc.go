@@ -10,8 +10,9 @@ import (
 // Request is a handle for a non-blocking operation, completed by Wait.
 type Request interface{ isRequest() }
 
-// engine abstracts the execution backend (real goroutines or discrete-
-// event simulation) behind the rank-level API.
+// engine abstracts the execution backend (the op engine's goroutines
+// over a chan or TCP link, or discrete-event simulation) behind the
+// rank-level API.
 type engine interface {
 	isend(p *Proc, dst int, msg block.Message) Request
 	irecv(p *Proc, src int) Request
@@ -20,7 +21,7 @@ type engine interface {
 	// span opens a compute-phase interval (encrypt, decrypt or copy) of n
 	// bytes and returns its closer, called when the work is done. The sim
 	// engine charges the modelled cost up front and returns a no-op; the
-	// real and TCP engines measure the wall-clock interval and emit a
+	// op engine measures the wall-clock interval and emits a
 	// TraceEvent when a tracer is attached.
 	span(p *Proc, kind TraceKind, n int64) func()
 
@@ -39,7 +40,7 @@ type engine interface {
 	pipeline() *pipeCfg
 
 	// aad derives the AEAD associated data from the encoded block
-	// header. The real and TCP engines append the operation id so that
+	// header. The op engine appends the operation id so that
 	// ciphertexts of concurrent operations sharing one session key
 	// cannot authenticate across operations (a misrouted frame fails
 	// closed); the sim engine returns the header unchanged.
@@ -214,7 +215,7 @@ func payloadSlices(chunks []block.Chunk) [][]byte {
 
 // Encrypt seals the given plaintext chunks into a single ciphertext
 // chunk: one encryption round covering their total plaintext bytes. All
-// input chunks must be plaintext. In the real engines the seal is
+// input chunks must be plaintext. On the chan and TCP links the seal is
 // segmented — payloads at or above the configured segment size are split
 // into independently sealed GCM segments processed concurrently on the
 // crypto worker pool, authenticated together as one unit — but a logical

@@ -59,8 +59,8 @@ type SessionConfig struct {
 	Plan *fault.Plan
 	// Profile is the machine model used by EngineSim; ignored otherwise.
 	Profile cost.Profile
-	// Adversary taps inter-node messages on EngineChan; ignored
-	// otherwise.
+	// Adversary taps inter-node messages on EngineChan and EngineTCP;
+	// ignored by EngineSim.
 	Adversary Adversary
 	// Metrics is the registry the session publishes its live metrics
 	// into. Nil gives the session a private registry (read it back with
@@ -78,8 +78,8 @@ type SessionConfig struct {
 	// Pipeline configures intra-collective pipelining: streaming a
 	// chunk's sealed segments onto the wire as they seal and opening
 	// them as they land, overlapping crypto with transport inside one
-	// operation. Ignored by EngineSim, and disabled on EngineChan
-	// sessions with an Adversary (the tap needs whole messages).
+	// operation. Ignored by EngineSim, and disabled on sessions with an
+	// Adversary (the tap needs whole messages).
 	Pipeline PipelineConfig
 }
 
@@ -134,14 +134,14 @@ var (
 )
 
 // Session is a persistent collective runtime: open once, run many
-// collectives over long-lived engine state, close once. For EngineTCP
-// the listeners, dialed links, hello handshakes, sequence gates and
-// per-rank send schedulers survive across operations; every frame
-// carries its operation's id, so the demux routes concurrent
-// collectives' frames to the right operation and discards stragglers
-// from completed or aborted ones. For EngineChan the per-rank send
-// schedulers and sealer persist. EngineSim sessions hold the machine
-// profile and run each collective in virtual time.
+// collectives over long-lived engine state, close once. EngineChan and
+// EngineTCP sessions keep one mesh — the sealer, the per-rank send
+// schedulers and the link — alive across operations; the TCP link adds
+// the listeners, dialed connections, hello handshakes and sequence
+// gates. Every message carries its operation's id, so the demux routes
+// concurrent collectives' messages to the right operation and discards
+// stragglers from completed or aborted ones. EngineSim sessions hold the
+// machine profile and run each collective in virtual time.
 //
 // A Session is safe for concurrent use, and — new in this revision —
 // collectives genuinely overlap: any number of Collective calls may be
@@ -164,8 +164,8 @@ type Session struct {
 	broken   error
 	inflight int
 	slr      *seal.Sealer
-	cmesh    *chanMesh
-	mesh     *tcpMesh
+	mesh     *mesh        // nil for EngineSim
+	sniffer  *WireSniffer // EngineTCP only
 	// sealedBase/openedBase accumulate retired sealers' segment counts
 	// across rekeys, keeping the session-lifetime totals monotone.
 	sealedBase int64
@@ -173,8 +173,9 @@ type Session struct {
 }
 
 // OpenSession validates the spec, stands up the persistent engine state
-// (sealer and send schedulers for chan/tcp; listeners plus the fully
-// dialed O(p^2) connection mesh for tcp) and returns the ready session.
+// (sealer, send schedulers and link for chan/tcp; the tcp link adds
+// listeners plus the fully dialed O(p^2) connection mesh) and returns
+// the ready session.
 func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -197,7 +198,7 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 	}
 	s.slr = slr
 	s.pipe = resolvePipe(cfg.Pipeline)
-	if cfg.Engine == EngineChan && cfg.Adversary != nil {
+	if cfg.Adversary != nil {
 		// The adversary taps whole inter-node messages; streaming would
 		// route segments around it, so pipelining yields to the tap.
 		s.pipe = nil
@@ -205,14 +206,15 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 	if s.pipe != nil {
 		s.lm.pipeWindow.Set(int64(s.pipe.window))
 	}
+	attach := attachChanLink
 	if cfg.Engine == EngineTCP {
-		mesh, err := newTCPMesh(spec, s.lm)
-		if err != nil {
-			return nil, err
-		}
-		s.mesh = mesh
-	} else {
-		s.cmesh = newChanMesh(spec, s.lm)
+		attach = attachTCPLink
+	}
+	if s.mesh, err = newMesh(spec, s.lm, attach); err != nil {
+		return nil, err
+	}
+	if tl, ok := s.mesh.link.(*tcpLink); ok {
+		s.sniffer = tl.sniffer
 	}
 	s.registerRuntimeMetrics()
 	return s, nil
@@ -241,12 +243,7 @@ func (s *Session) Engine() EngineKind { return s.cfg.Engine }
 
 // Sniffer returns the session-lifetime wire capture of an EngineTCP
 // session (cumulative across collectives), or nil for other engines.
-func (s *Session) Sniffer() *WireSniffer {
-	if s.mesh == nil {
-		return nil
-	}
-	return s.mesh.sniffer
-}
+func (s *Session) Sniffer() *WireSniffer { return s.sniffer }
 
 // Sealer returns the session's current AES-GCM sealer (nil for
 // EngineSim). Its nonce audit spans every collective sealed since the
@@ -273,6 +270,18 @@ func (s *Session) InFlight() int {
 	return s.inflight
 }
 
+// stateErr is the error a closed or broken session answers every new
+// request with, nil while it is usable. The caller holds s.mu.
+func (s *Session) stateErr() error {
+	if s.closed {
+		return ErrSessionClosed
+	}
+	if s.broken != nil {
+		return fmt.Errorf("%w: %v", ErrSessionBroken, s.broken)
+	}
+	return nil
+}
+
 // Rekey replaces the session's AES-GCM key with a fresh random one
 // between collectives — the session-runtime composition point for
 // internal/seal's key-rotation support. Subsequent operations seal under
@@ -283,11 +292,9 @@ func (s *Session) InFlight() int {
 func (s *Session) Rekey() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case s.closed:
-		return ErrSessionClosed
-	case s.broken != nil:
-		return fmt.Errorf("%w: %v", ErrSessionBroken, s.broken)
+	switch err := s.stateErr(); {
+	case err != nil:
+		return err
 	case s.cfg.Engine == EngineSim:
 		return nil // the sim models crypto cost; there is no key
 	case s.inflight > 0:
@@ -309,8 +316,8 @@ func (s *Session) Rekey() error {
 
 // Close tears down the persistent engine state: in-flight operations
 // are aborted (their callers receive a structured error wrapping
-// ErrSessionClosed), then the TCP mesh (listeners, links, readers) and
-// the send schedulers are drained. Idempotent.
+// ErrSessionClosed), then the link (for TCP: listeners, connections,
+// readers) and the send schedulers are drained. Idempotent.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -319,30 +326,19 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	if s.mesh != nil {
-		s.mesh.abortLive(ErrSessionClosed)
+		s.mesh.abortLive("closed", ErrSessionClosed)
 		s.mesh.close()
 	}
-	if s.cmesh != nil {
-		s.cmesh.abortLive(ErrSessionClosed)
-		s.cmesh.close()
-	}
 	return nil
-}
-
-// opRun is the per-collective view the coordinator drives, uniform over
-// the chan and tcp engines.
-type opRun struct {
-	eng   engine
-	abort func()
-	fails *failState
-	audit *SecurityAudit
-	wt    *wallTrace
 }
 
 // resolve turns an Op into per-rank sizes and payload bytes.
 func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
 	if op.Algo == nil {
 		return nil, nil, errors.New("cluster: Op.Algo is nil")
+	}
+	if op.Payloads != nil && len(op.Payloads) != spec.P {
+		return nil, nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
 	}
 	sizes = make([]int64, spec.P)
 	switch {
@@ -352,9 +348,6 @@ func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
 		}
 		copy(sizes, op.Sizes)
 	case op.Payloads != nil:
-		if len(op.Payloads) != spec.P {
-			return nil, nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
-		}
 		for r := range sizes {
 			sizes[r] = int64(len(op.Payloads[r]))
 		}
@@ -367,16 +360,12 @@ func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
 		}
 	}
 	if op.Payloads != nil {
-		if len(op.Payloads) != spec.P {
-			return nil, nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
-		}
 		for r, pl := range op.Payloads {
 			if int64(len(pl)) != sizes[r] {
 				return nil, nil, fmt.Errorf("cluster: rank %d payload is %d bytes, want %d", r, len(pl), sizes[r])
 			}
 		}
-		payloads = op.Payloads
-		return sizes, payloads, nil
+		return sizes, op.Payloads, nil
 	}
 	payloads = make([][]byte, spec.P)
 	for r := range payloads {
@@ -390,24 +379,20 @@ func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
 func (s *Session) admit(ctx context.Context) (*seal.Sealer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case s.closed:
-		return nil, ErrSessionClosed
-	case s.broken != nil:
-		return nil, fmt.Errorf("%w: %v", ErrSessionBroken, s.broken)
+	switch err := s.stateErr(); {
+	case err != nil:
+		return nil, err
 	case s.cfg.Engine == EngineSim:
 		return nil, errors.New("cluster: Collective needs a chan or tcp session; use Sim")
 	}
-	if s.mesh != nil {
-		if merr := s.mesh.brokenErr(); merr != nil {
-			// The mesh died under an operation whose first-recorded root
-			// cause predated the transport failure; surface it now.
-			if s.broken == nil {
-				s.broken = merr
-				s.lm.poisonings.Inc()
-			}
-			return nil, fmt.Errorf("%w: %v", ErrSessionBroken, merr)
+	if merr := s.mesh.brokenErr(); merr != nil {
+		// The mesh died under an operation whose first-recorded root
+		// cause predated the transport failure; surface it now.
+		if s.broken == nil {
+			s.broken = merr
+			s.lm.poisonings.Inc()
 		}
+		return nil, fmt.Errorf("%w: %v", ErrSessionBroken, merr)
 	}
 	if ctx.Err() != nil {
 		// Fail fast without touching the engine or the session state.
@@ -425,20 +410,16 @@ func (s *Session) release() {
 
 // noteFailure decides whether a failed collective poisons the session.
 // Only transport-level unrecoverability does: an error wrapping
-// ErrMeshDown, a sequence-gate desync left behind by wire-level
-// corruption (detected by comparing every receive gate against its
-// sender's issued counter), or a frame-stream reader starved mid-frame
-// by a corrupted length field. Everything else — cancellation,
-// fault-plan outcomes, GCM rejections, panics, recv timeouts — is
-// scoped to the operation, and the mesh keeps serving its siblings.
+// ErrMeshDown, or damage the link's diagnosis finds left behind by
+// wire-level corruption (on TCP, a sequence-gate desync or a
+// frame-stream reader starved mid-frame by a corrupted length field).
+// Everything else — cancellation, fault-plan outcomes, GCM rejections,
+// panics, recv timeouts — is scoped to the operation, and the mesh
+// keeps serving its siblings.
 func (s *Session) noteFailure(err error) {
 	poison := errors.Is(err, ErrMeshDown)
-	if !poison && s.mesh != nil {
-		derr := s.mesh.gateDesync()
-		if derr == nil {
-			derr = s.mesh.readerStalled()
-		}
-		if derr != nil {
+	if !poison {
+		if derr := s.mesh.link.diagnose(); derr != nil {
 			poison = true
 			s.mesh.fail(derr)
 			err = fmt.Errorf("%w (and %v)", err, derr)
@@ -495,60 +476,50 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	inj := fault.NewInjector(plan)
 	inj.SetObserver(s.lm.observeFault)
 
-	var run opRun
-	if s.cfg.Engine == EngineTCP {
-		e := s.mesh.newOp(id, slr, s.recvTO, tracer, inj, s.pipe)
-		defer s.mesh.reg.deregister(id)
-		run = opRun{eng: e, abort: e.abort, fails: &e.fails, audit: e.audit, wt: &e.wt}
-	} else {
-		e := s.cmesh.newOp(id, slr, s.cfg.Adversary, inj, s.recvTO, tracer, s.pipe)
-		defer s.cmesh.reg.deregister(id)
-		run = opRun{eng: e, abort: e.abort, fails: &e.fails, audit: e.audit, wt: &e.wt}
-	}
+	e := s.mesh.newOp(id, slr, s.cfg.Adversary, inj, s.recvTO, tracer, s.pipe)
+	defer s.mesh.reg.deregister(id)
 
 	res := &RealResult{
 		Results: make([]block.Message, s.spec.P),
 		PerRank: make([]Metrics, s.spec.P),
-		Audit:   run.audit,
+		Audit:   e.audit,
 		Sealer:  slr,
 	}
 	var wg sync.WaitGroup
 	start := time.Now()
-	run.wt.epoch = start
+	e.wt.epoch = start
 	for r := 0; r < s.spec.P; r++ {
 		r := r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { recoverRank(recover(), run.fails, run.abort, r) }()
-			p := &Proc{rank: r, spec: s.spec, met: &res.PerRank[r], eng: run.eng, sizes: sizes}
+			defer func() { recoverRank(recover(), &e.fails, e.abort, r) }()
+			p := &Proc{rank: r, spec: s.spec, met: &res.PerRank[r], eng: e, sizes: sizes}
 			mine := block.NewPlain(r, payloads[r])
 			res.Results[r] = op.Algo(p, mine)
 		}()
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
+	timeout := time.NewTimer(RealTimeout)
+	defer timeout.Stop()
 	select {
 	case <-done:
 	case <-ctx.Done():
-		run.fails.record(&RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)})
-		run.abort()
+		e.fails.record(&RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)})
+		e.abort()
 		// Every blocking point (receives, barriers, send backoffs)
 		// observes the abort, so the ranks unwind promptly; wait for them
 		// instead of leaking goroutines into the caller's process.
 		<-done
-	case <-time.After(RealTimeout):
-		format := "real run exceeded %v (algorithm deadlock?) on %v"
-		if s.cfg.Engine == EngineTCP {
-			format = "tcp run exceeded %v on %v"
-		}
-		run.fails.record(&RankError{Rank: -1, Peer: -1, Op: "timeout",
-			Err: fmt.Errorf(format, RealTimeout, s.spec)})
-		run.abort()
+	case <-timeout.C:
+		e.fails.record(&RankError{Rank: -1, Peer: -1, Op: "timeout",
+			Err: fmt.Errorf("%v run exceeded %v (algorithm deadlock?) on %v", s.cfg.Engine, RealTimeout, s.spec)})
+		e.abort()
 		<-done
 	}
 	res.Elapsed = time.Since(start)
-	if err := run.fails.err(); err != nil {
+	if err := e.fails.err(); err != nil {
 		s.noteFailure(err)
 		var re *RankError
 		if errors.As(err, &re) && re.Op == "cancel" {
@@ -572,11 +543,9 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 func (s *Session) Sim(ctx context.Context, op Op) (*SimResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case s.closed:
-		return nil, ErrSessionClosed
-	case s.broken != nil:
-		return nil, fmt.Errorf("%w: %v", ErrSessionBroken, s.broken)
+	switch err := s.stateErr(); {
+	case err != nil:
+		return nil, err
 	case s.cfg.Engine != EngineSim:
 		return nil, errors.New("cluster: Sim needs an EngineSim session; use Collective")
 	}

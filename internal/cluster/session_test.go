@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -279,5 +280,63 @@ func TestSessionClosedAndEngineMismatch(t *testing.T) {
 	}
 	if err := ValidateGather(spec, 8, res.Results, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An operation admitted just before Close but registered after Close
+// swept the live ones must still fail closed, not run on the closed
+// mesh until its receives time out.
+func TestOpRegisteredAfterCloseIsAborted(t *testing.T) {
+	for _, kind := range []EngineKind{EngineChan, EngineTCP} {
+		s, err := OpenSession(Spec{P: 2, N: 2, Mapping: BlockMapping}, SessionConfig{Engine: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		e := s.mesh.newOp(1, s.slr, nil, nil, time.Second, nil, nil)
+		if !e.isAborted() {
+			t.Fatalf("%v: operation registered after Close is not aborted", kind)
+		}
+		if err := e.fails.err(); !errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("%v: err = %v, want ErrSessionClosed", kind, err)
+		}
+	}
+}
+
+// The adversary taps inter-node messages on either link: a byte it
+// flips in a ciphertext fails authentication at the receiver, and the
+// tap turns pipelining off (it needs whole messages to inspect).
+func TestAdversaryTapsBothLinks(t *testing.T) {
+	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
+	for _, kind := range []EngineKind{EngineChan, EngineTCP} {
+		var tapped atomic.Int64
+		adv := func(src, dst int, msg block.Message) block.Message {
+			out := block.Message{Chunks: append([]block.Chunk(nil), msg.Chunks...)}
+			for i, c := range out.Chunks {
+				if c.Enc && len(c.Payload) > 0 && tapped.Add(1) == 1 {
+					tampered := append([]byte(nil), c.Payload...)
+					tampered[len(tampered)/2] ^= 1
+					out.Chunks[i].Payload = tampered
+				}
+			}
+			return out
+		}
+		s, err := OpenSession(spec, SessionConfig{Engine: kind, Adversary: adv, Pipeline: PipelineConfig{Enabled: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Collective(context.Background(), Op{Algo: encRing, MsgSize: 256})
+		snap := s.Snapshot()
+		s.Close()
+		var re *RankError
+		if !errors.As(err, &re) || re.Op != "open" {
+			t.Fatalf("%v: tampered ciphertext yielded %v, want an open RankError", kind, err)
+		}
+		if tapped.Load() == 0 {
+			t.Fatalf("%v: adversary saw no ciphertext", kind)
+		}
+		if snap.PipelineWindow != 0 || snap.PipelineMsgs != 0 {
+			t.Fatalf("%v: pipelining stayed on under an adversary: %+v", kind, snap)
+		}
 	}
 }

@@ -4,18 +4,21 @@
 // per-node shared memory, node barriers, AES-GCM encryption hooks and
 // per-rank cost metrics.
 //
-// Three engines execute the same algorithm code:
+// Two engines execute the same algorithm code:
 //
-//   - the real engine (RunReal) runs every rank as a goroutine with
-//     channel transport and real AES-GCM over real payload bytes — used
-//     for correctness, property and security tests;
-//   - the sim engine (RunSim) runs ranks as deterministic discrete-event
-//     processes over the flow-level network model in internal/netsim —
-//     used to regenerate the paper's tables and figures at full scale;
-//   - the TCP engine (RunTCP) runs over real loopback sockets through
-//     the wire codec, with a byte-level sniffer on inter-node
-//     connections — used to demonstrate the security property at the
-//     level an actual network eavesdropper sees.
+//   - the op engine runs every rank of a collective as a goroutine with
+//     real AES-GCM over real payload bytes, on a Session's persistent
+//     mesh. The mesh moves bytes over one of two links: the chan link
+//     (EngineChan) hands messages over in process — used for
+//     correctness, property and security tests — and the TCP link
+//     (EngineTCP) runs over real loopback sockets through the wire
+//     codec, with a byte-level sniffer on inter-node connections — used
+//     to demonstrate the security property at the level an actual
+//     network eavesdropper sees;
+//   - the sim engine (RunSim, EngineSim) runs ranks as deterministic
+//     discrete-event processes over the flow-level network model in
+//     internal/netsim — used to regenerate the paper's tables and
+//     figures at full scale.
 package cluster
 
 import (
@@ -59,18 +62,18 @@ type Spec struct {
 	Custom  []int // node of each rank, used when Mapping == CustomMapping
 
 	// CryptoWorkers bounds the parallelism of the segmented AES-GCM
-	// engine in the real and TCP engines: 0 uses the process-wide shared
+	// engine on the chan and TCP links: 0 uses the process-wide shared
 	// pool (sized by GOMAXPROCS), n > 0 gives the run a dedicated pool of
 	// n workers. Ignored by the sim engine, which models crypto cost.
 	CryptoWorkers int
 	// SegmentSize is the seal segmentation split size in bytes for the
-	// real and TCP engines; 0 selects seal.DefaultSegmentSize (64 KiB).
+	// chan and TCP links; 0 selects seal.DefaultSegmentSize (64 KiB).
 	// Payloads at or above it are sealed as independent segments
 	// processed concurrently.
 	SegmentSize int64
 
-	// RecvTimeout bounds every single receive wait in the real and TCP
-	// engines: a rank waiting longer than this for a message (peer died,
+	// RecvTimeout bounds every single receive wait on the chan and TCP
+	// links: a rank waiting longer than this for a message (peer died,
 	// frame lost to an injected fault) fails with a structured recv
 	// error instead of deadlocking until the run-level timeout. 0
 	// selects DefaultRecvTimeout. Ignored by the sim engine, whose

@@ -3,7 +3,7 @@ package cluster
 import "time"
 
 // wallTrace stamps TraceEvents against a run epoch in real (wall-clock)
-// time — the real and TCP engines' counterpart of the sim engine's
+// time — the op engine's counterpart of the sim engine's
 // virtual-time tracing. The zero value is inert; engines activate it by
 // setting a tracer and fixing the epoch just before rank goroutines
 // start, so event times are seconds since the collective began, directly

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"testing"
@@ -10,6 +11,17 @@ import (
 	"encag/internal/cluster"
 	"encag/internal/cost"
 )
+
+// runOnce runs algo as one collective of msgSize-byte blocks on a fresh
+// session of the given engine and closes the session again.
+func runOnce(kind cluster.EngineKind, spec cluster.Spec, msgSize int64, algo cluster.Algorithm) (*cluster.RealResult, error) {
+	s, err := cluster.OpenSession(spec, cluster.SessionConfig{Engine: kind})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return s.Collective(context.Background(), cluster.Op{Algo: algo, MsgSize: msgSize})
+}
 
 var allAlgs = map[string]Allgather{
 	"ring":        Ring,
@@ -41,7 +53,7 @@ func specs() []cluster.Spec {
 func TestAllAlgorithmsCorrectReal(t *testing.T) {
 	for _, spec := range specs() {
 		for name, alg := range allAlgs {
-			res, err := cluster.RunReal(spec, 48, AsAlgorithm(alg))
+			res, err := runOnce(cluster.EngineChan, spec, 48, AsAlgorithm(alg))
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
@@ -193,7 +205,7 @@ func TestGatherBcastRoundTrip(t *testing.T) {
 		}
 		return Bcast(p, g, 5, full)
 	}
-	res, err := cluster.RunReal(spec, 32, algo)
+	res, err := runOnce(cluster.EngineChan, spec, 32, algo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +230,7 @@ func TestSubGroupAllgather(t *testing.T) {
 		}
 		return out
 	}
-	res, err := cluster.RunReal(spec, 16, algo)
+	res, err := runOnce(cluster.EngineChan, spec, 16, algo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +259,7 @@ func TestQuickAlgorithmsAgree(t *testing.T) {
 		}
 		spec := cluster.Spec{P: p, N: n, Mapping: mapping}
 		for _, alg := range allAlgs {
-			res, err := cluster.RunReal(spec, m, AsAlgorithm(alg))
+			res, err := runOnce(cluster.EngineChan, spec, m, AsAlgorithm(alg))
 			if err != nil {
 				return false
 			}
@@ -326,7 +338,7 @@ func TestGatherBcastNonzeroRootsAllEngines(t *testing.T) {
 			}
 			return Bcast(p, g, root, full)
 		}
-		res, err := cluster.RunReal(spec, 24, algo)
+		res, err := runOnce(cluster.EngineChan, spec, 24, algo)
 		if err != nil {
 			t.Fatalf("root %d: %v", root, err)
 		}

@@ -50,11 +50,11 @@ func TestAllreduceHSCorrectAndSecure(t *testing.T) {
 		{P: 6, N: 1, Mapping: cluster.BlockMapping},  // single node: no crypto at all
 	} {
 		for _, m := range []int64{1, 13, 64, 1000} {
-			res, err := cluster.RunReal(spec, m, AllreduceHS(XOR))
+			res, err := runOnce(cluster.EngineChan, spec, m, AllreduceHS(XOR), nil)
 			if err != nil {
 				t.Fatalf("%v m=%d: %v", spec, m, err)
 			}
-			checkAllreduce(t, spec, m, res)
+			checkAllreduce(t, spec, m, res.RealResult)
 			if !res.Audit.Clean() {
 				t.Fatalf("%v m=%d: plaintext crossed nodes: %v", spec, m, res.Audit.Violations)
 			}
@@ -68,11 +68,11 @@ func TestAllreduceHSCorrectAndSecure(t *testing.T) {
 func TestAllreduceNaiveCorrect(t *testing.T) {
 	spec := cluster.Spec{P: 8, N: 4, Mapping: cluster.BlockMapping}
 	const m = 256
-	res, err := cluster.RunReal(spec, m, AllreduceNaive(XOR))
+	res, err := runOnce(cluster.EngineChan, spec, m, AllreduceNaive(XOR), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAllreduce(t, spec, m, res)
+	checkAllreduce(t, spec, m, res.RealResult)
 	if !res.Audit.Clean() {
 		t.Fatalf("violations: %v", res.Audit.Violations)
 	}
@@ -119,7 +119,7 @@ func TestAllreduceTamperDetected(t *testing.T) {
 		}
 		return out
 	}
-	_, err := cluster.RunRealAdversarial(spec, 64, AllreduceHS(XOR), adv)
+	_, err := runOnce(cluster.EngineChan, spec, 64, AllreduceHS(XOR), adv)
 	if !flipped.Load() {
 		t.Fatal("no ciphertext crossed the adversary")
 	}
@@ -144,7 +144,7 @@ func TestQuickAllreduce(t *testing.T) {
 		}
 		want := expectedXOR(spec.P, m)
 		for _, alg := range []cluster.Algorithm{AllreduceHS(XOR), AllreduceNaive(XOR)} {
-			res, err := cluster.RunReal(spec, m, alg)
+			res, err := runOnce(cluster.EngineChan, spec, m, alg, nil)
 			if err != nil || !res.Audit.Clean() {
 				return false
 			}

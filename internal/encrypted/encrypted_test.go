@@ -1,12 +1,36 @@
 package encrypted
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"encag/internal/cluster"
 	"encag/internal/cost"
 )
+
+// onceResult is one collective's result plus its session's wire
+// capture (nil off TCP).
+type onceResult struct {
+	*cluster.RealResult
+	Sniffer *cluster.WireSniffer
+}
+
+// runOnce runs alg as one collective of m-byte blocks on a fresh session
+// of the given engine and closes the session again. adv, when non-nil,
+// taps every inter-node message.
+func runOnce(kind cluster.EngineKind, spec cluster.Spec, m int64, alg cluster.Algorithm, adv cluster.Adversary) (*onceResult, error) {
+	s, err := cluster.OpenSession(spec, cluster.SessionConfig{Engine: kind, Adversary: adv})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	res, err := s.Collective(context.Background(), cluster.Op{Algo: alg, MsgSize: m})
+	if err != nil {
+		return nil, err
+	}
+	return &onceResult{RealResult: res, Sniffer: s.Sniffer()}, nil
+}
 
 func testSpecs() []cluster.Spec {
 	return []cluster.Spec{
@@ -34,7 +58,7 @@ func TestAllEncryptedCorrectAndSecure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.RunReal(spec, 40, alg)
+			res, err := runOnce(cluster.EngineChan, spec, 40, alg, nil)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
@@ -199,7 +223,7 @@ func TestQuickEncryptedCorrect(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			res, err := cluster.RunReal(spec, m, alg)
+			res, err := runOnce(cluster.EngineChan, spec, m, alg, nil)
 			if err != nil {
 				return false
 			}
@@ -313,7 +337,7 @@ func TestAutoDispatch(t *testing.T) {
 		}
 	}
 	// Correct and secure in the real engine too.
-	res, err := cluster.RunReal(cluster.Spec{P: 8, N: 4, Mapping: cluster.CyclicMapping}, 48, auto)
+	res, err := runOnce(cluster.EngineChan, cluster.Spec{P: 8, N: 4, Mapping: cluster.CyclicMapping}, 48, auto, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

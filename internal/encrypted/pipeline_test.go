@@ -71,7 +71,7 @@ func TestPipelinedCorrectReal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.RunReal(spec, 64, alg)
+			res, err := runOnce(cluster.EngineChan, spec, 64, alg, nil)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}

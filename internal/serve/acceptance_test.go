@@ -126,6 +126,10 @@ func TestAcceptanceMultiTenantHost(t *testing.T) {
 		wg.Wait()
 	}
 	stepAll(2048)
+	// Steps above the default 64 KiB segment size split their seals into
+	// segments, so the shared pool sees crypto traffic from every tenant
+	// (2 KiB steps seal inline and never reach it).
+	stepAll(256 << 10)
 
 	// Phase 2+3: poison the victim while siblings keep gathering.
 	poison := &encag.FaultPlan{Rules: []encag.FaultRule{
