@@ -105,14 +105,15 @@ func ParseAlg(name string) (Alg, error) {
 	if a == "mvapich" {
 		a = AlgMPI
 	}
-	if algSet()[a] {
+	if algSet[a] {
 		return a, nil
 	}
 	return "", &UnknownAlgorithmError{Name: name, Valid: Algorithms()}
 }
 
-// algSet returns the set of every selectable algorithm name.
-func algSet() map[Alg]bool {
+// algSet is the set of every selectable algorithm name, built once:
+// every operation parses its algorithm, so the set is read on each call.
+var algSet = func() map[Alg]bool {
 	set := make(map[Alg]bool)
 	for _, n := range encrypted.Names() {
 		set[Alg(n)] = true
@@ -123,14 +124,13 @@ func algSet() map[Alg]bool {
 		set[a] = true
 	}
 	return set
-}
+}()
 
 // Algorithms lists every selectable algorithm. Every entry runs on
 // every engine.
 func Algorithms() []Alg {
-	set := algSet()
-	out := make([]Alg, 0, len(set))
-	for a := range set {
+	out := make([]Alg, 0, len(algSet))
+	for a := range algSet {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -201,3 +201,55 @@ func TestPatternDeterministic(t *testing.T) {
 		t.Fatal("patterns for different origins identical")
 	}
 }
+
+// The doubling fill and the in-place check must agree with Pattern byte
+// for byte on both sides of the 256-byte period, and the check must
+// reject a single flipped byte wherever it sits.
+func TestFillAndCheckMatchPattern(t *testing.T) {
+	for _, n := range []int64{0, 1, 255, 256, 257, 4096, 65536 + 1001} {
+		for _, origin := range []int{0, 3, 255} {
+			buf := FillPattern(origin, n)
+			if int64(len(buf)) != n {
+				t.Fatalf("FillPattern(%d, %d) has %d bytes", origin, n, len(buf))
+			}
+			for i, b := range buf {
+				if b != Pattern(origin, int64(i)) {
+					t.Fatalf("FillPattern(%d, %d)[%d] = %#x, want %#x", origin, n, i, b, Pattern(origin, int64(i)))
+				}
+			}
+			if !isPattern(origin, buf) {
+				t.Fatalf("isPattern rejects FillPattern(%d, %d)", origin, n)
+			}
+			if n > 0 && isPattern(origin+1, buf) {
+				t.Fatalf("isPattern accepts origin %d's %d bytes as origin %d's", origin, n, origin+1)
+			}
+			for i := range buf {
+				buf[i] ^= 0x40
+				if isPattern(origin, buf) {
+					t.Fatalf("isPattern accepts FillPattern(%d, %d) with byte %d flipped", origin, n, i)
+				}
+				buf[i] ^= 0x40
+			}
+		}
+	}
+}
+
+// NormalizeV's payload check is the in-place one: a flipped byte in any
+// origin's block fails the result.
+func TestNormalizeVRejectsFlippedByte(t *testing.T) {
+	sizes := []int64{257, 0, 70001}
+	var msg Message
+	for o, n := range sizes {
+		msg.Append(NewPlain(o, FillPattern(o, n)).Chunks...)
+	}
+	if _, err := NormalizeV(msg, sizes, true); err != nil {
+		t.Fatalf("clean result rejected: %v", err)
+	}
+	for _, at := range []struct{ chunk, i int }{{0, 0}, {0, 256}, {2, 255}, {2, 256}, {2, 70000}} {
+		msg.Chunks[at.chunk].Payload[at.i] ^= 1
+		if _, err := NormalizeV(msg, sizes, true); err == nil {
+			t.Fatalf("byte %d of chunk %d flipped, result accepted", at.i, at.chunk)
+		}
+		msg.Chunks[at.chunk].Payload[at.i] ^= 1
+	}
+}

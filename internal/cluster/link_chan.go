@@ -34,6 +34,11 @@ func (chanLink) verdict(e *opEngine, src, dst int) (corrupt int, ok bool) {
 func (l chanLink) send(e *opEngine, src, dst int, msg block.Message) bool {
 	corrupt, ok := l.verdict(e, src, dst)
 	if !ok {
+		if _, live := l.m.reg.get(e.id); live {
+			// A lost message still takes its delivery number: its receive
+			// starves rather than take the pair's next message.
+			e.nextEnvSeq(src, dst)
+		}
 		return false
 	}
 	if corrupt >= 0 {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -115,6 +116,7 @@ const (
 type pairConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+	shut bool          // teardown closed the pair for good: no reconnect installs
 	seq  atomic.Uint64 // frames issued so far: the next sequence number
 	// inj is the fault injector of the operation whose frame is being
 	// written right now. The send scheduler arms it before each frame;
@@ -137,14 +139,31 @@ func (c *pairConn) get() net.Conn {
 	return c.conn
 }
 
-// replace installs a freshly dialed conn, closing the previous one.
+// replace installs a freshly dialed conn, closing the previous one. A
+// reconnect that raced teardown closes its fresh conn instead, so no
+// connection — and no reader blocked on its far end — outlives the link.
 func (c *pairConn) replace(conn net.Conn) {
 	c.mu.Lock()
 	old := c.conn
-	c.conn = conn
+	if c.shut {
+		old = conn
+	} else {
+		c.conn = conn
+	}
 	c.mu.Unlock()
 	if old != nil {
 		old.Close()
+	}
+}
+
+// close shuts the pair down for good (teardown).
+func (c *pairConn) close() {
+	c.mu.Lock()
+	c.shut = true
+	conn := c.conn
+	c.mu.Unlock()
+	if conn != nil {
+		conn.Close()
 	}
 }
 
@@ -338,11 +357,8 @@ func (l *tcpLink) teardown() {
 		}
 		for _, row := range l.conns {
 			for _, pc := range row {
-				if pc == nil {
-					continue
-				}
-				if c := pc.get(); c != nil {
-					c.Close()
+				if pc != nil {
+					pc.close()
 				}
 			}
 		}
@@ -460,28 +476,62 @@ func (l *tcpLink) write(e *opEngine, src, dst int, frame func(io.Writer, *wire.F
 	return false
 }
 
-// readTracker watches a reader's byte progress so the mesh can tell a
-// connection that is idle between frames (healthy: it may wait forever)
-// from one starved in the middle of a frame (corrupt: a flipped length
-// or count field made the decoder demand bytes the sender never wrote,
-// and every later frame on the stream is swallowed as phantom payload).
+// readTracker is one accepted connection's read side. The frame decoder
+// reads through br, a buffered reader over the connection, so a small
+// frame costs one or two socket reads instead of one per field; a large
+// segment payload still lands straight in its slot, since bufio reads a
+// request larger than its buffer directly into the caller's slice once
+// the buffered bytes are drained.
+//
+// The tracker also watches the decoder's progress, so the mesh can tell
+// a connection that is idle between frames (healthy: it may wait
+// forever) from one starved in the middle of a frame (corrupt: a flipped
+// length or count field made the decoder demand bytes the sender never
+// wrote, and every later frame on the stream is swallowed as phantom
+// payload). The tracker sits under the buffer, so it sees socket reads;
+// frameStart covers the bytes the buffer already holds when the decoder
+// begins a frame.
 type readTracker struct {
-	net.Conn
+	conn     net.Conn
+	br       *bufio.Reader
 	src, dst int
 	mu       sync.Mutex
 	midFrame bool
 	last     time.Time
 }
 
+// newReadTracker wraps an accepted connection whose hello has already
+// been read: no byte of the frame stream sits in anyone's buffer yet.
+func newReadTracker(conn net.Conn, src, dst int) *readTracker {
+	t := &readTracker{conn: conn, src: src, dst: dst}
+	t.br = bufio.NewReader(t)
+	return t
+}
+
+// Read is the buffer's fill from the socket; the decoder reads t.br.
 func (t *readTracker) Read(p []byte) (int, error) {
-	n, err := t.Conn.Read(p)
+	n, err := t.conn.Read(p)
 	if n > 0 {
-		t.mu.Lock()
-		t.midFrame = true
-		t.last = time.Now()
-		t.mu.Unlock()
+		t.progress()
 	}
 	return n, err
+}
+
+func (t *readTracker) progress() {
+	t.mu.Lock()
+	t.midFrame = true
+	t.last = time.Now()
+	t.mu.Unlock()
+}
+
+// frameStart marks the decoder beginning a frame. When an earlier socket
+// read already brought the start of this frame into the buffer, the
+// reader is mid-frame as of now: a corrupted length field in this frame
+// would otherwise starve the decoder without the tracker ever noticing.
+func (t *readTracker) frameStart() {
+	if t.br.Buffered() > 0 {
+		t.progress()
+	}
 }
 
 // frameDone marks a clean frame boundary: the reader is idle again.
@@ -556,8 +606,7 @@ func (l *tcpLink) serveConn(src, dst int, conn net.Conn, prev, done chan struct{
 	if prev != nil {
 		<-prev
 	}
-	tc := &readTracker{Conn: conn, src: src, dst: dst}
-	tc.frameDone()
+	tc := newReadTracker(conn, src, dst)
 	l.trackMu.Lock()
 	l.tracked[tc] = struct{}{}
 	l.trackMu.Unlock()
@@ -569,7 +618,8 @@ func (l *tcpLink) serveConn(src, dst int, conn net.Conn, prev, done chan struct{
 	gate := l.gates[dst][src]
 	body := &segReader{tc: tc}
 	for {
-		fr, err := wire.ReadFrameStart(tc)
+		tc.frameStart()
+		fr, err := wire.ReadFrameStart(tc.br)
 		if err != nil {
 			if !connDied(err) {
 				m.fail(fmt.Errorf("frame stream %d->%d corrupted: %v", src, dst, err))
@@ -614,17 +664,17 @@ func (l *tcpLink) serveConn(src, dst int, conn net.Conn, prev, done chan struct{
 }
 
 // segReader is a TCP sub-frame's payload, still on the connection: n
-// bytes the reader lands in place, or skips through io.Discard (whose
-// pooled buffer keeps discarded duplicates and stragglers from
-// allocating). Receive-side fault delays are charged once the payload
-// has landed, out of the owning operation's injector.
+// bytes the reader lands in place, or skips in the buffered reader, so
+// discarded duplicates and stragglers allocate nothing. Receive-side
+// fault delays are charged once the payload has landed, out of the
+// owning operation's injector.
 type segReader struct {
 	tc *readTracker
 	n  int
 }
 
 func (b *segReader) fill(e *opEngine, p []byte) error {
-	if _, err := io.ReadFull(b.tc, p); err != nil {
+	if _, err := io.ReadFull(b.tc.br, p); err != nil {
 		return err
 	}
 	b.tc.frameDone()
@@ -638,7 +688,7 @@ func (b *segReader) take(e *opEngine) ([]byte, error) {
 }
 
 func (b *segReader) discard() error {
-	_, err := io.CopyN(io.Discard, b.tc, int64(b.n))
+	_, err := b.tc.br.Discard(b.n)
 	b.tc.frameDone()
 	return err
 }

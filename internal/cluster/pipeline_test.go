@@ -373,14 +373,18 @@ func TestPipelineChanSegmentFaultsFailClosed(t *testing.T) {
 	cases := []struct {
 		name string
 		algo Algorithm
+		size int64
 		rule fault.Rule
 		ops  []string
 	}{
-		{"corrupt", exchangeEncrypted, fault.Rule{Src: 0, Dst: 1, Frame: 1, Kind: fault.Corrupt, Offset: 1234}, []string{"open"}},
-		{"drop", exchangeEncrypted, fault.Rule{Src: 0, Dst: 1, Frame: 1, Kind: fault.Drop}, []string{"recv"}},
+		{"corrupt", exchangeEncrypted, pipeSize, fault.Rule{Src: 0, Dst: 1, Frame: 1, Kind: fault.Corrupt, Offset: 1234}, []string{"open"}},
+		{"drop", exchangeEncrypted, pipeSize, fault.Rule{Src: 0, Dst: 1, Frame: 1, Kind: fault.Drop}, []string{"recv"}},
 		// Losing a message's first sub-frame must not hand its receive
 		// the pair's next message.
-		{"drop-first", sendTwiceEncrypted, fault.Rule{Src: 0, Dst: 1, Frame: 0, Kind: fault.Drop}, []string{"recv"}},
+		{"drop-first", sendTwiceEncrypted, pipeSize, fault.Rule{Src: 0, Dst: 1, Frame: 0, Kind: fault.Drop}, []string{"recv"}},
+		// Nor must losing a message too small to stream, which travels
+		// whole.
+		{"drop-first-whole", sendTwiceEncrypted, 1024, fault.Rule{Src: 0, Dst: 1, Frame: 0, Kind: fault.Drop}, []string{"recv"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -388,7 +392,7 @@ func TestPipelineChanSegmentFaultsFailClosed(t *testing.T) {
 			s := openPipelined(t, spec, EngineChan)
 			defer s.Close()
 			plan := &fault.Plan{Rules: []fault.Rule{tc.rule}}
-			_, err := s.Collective(context.Background(), Op{Algo: tc.algo, MsgSize: pipeSize, Plan: plan})
+			_, err := s.Collective(context.Background(), Op{Algo: tc.algo, MsgSize: tc.size, Plan: plan})
 			var re *RankError
 			if !errors.As(err, &re) {
 				t.Fatalf("%s segment yielded %v, want a structured rank error", tc.name, err)

@@ -1,7 +1,7 @@
 package encrypted
 
 import (
-	"fmt"
+	"strconv"
 
 	"encag/internal/block"
 	"encag/internal/cluster"
@@ -27,11 +27,11 @@ func leaderAllgather(p *cluster.Proc, leaders Group, bundle block.Message) []blo
 }
 
 // Shared-memory key helpers.
-func keyOwn(rank int) string     { return fmt.Sprintf("hs/own/%d", rank) }
-func keyOwnCT(rank int) string   { return fmt.Sprintf("hs/ownct/%d", rank) }
-func keyNodeCT(node int) string  { return fmt.Sprintf("hs/nodect/%d", node) }
-func keyNodePT(node int) string  { return fmt.Sprintf("hs/nodept/%d", node) }
-func keyPT(node, idx int) string { return fmt.Sprintf("hs/pt/%d/%d", node, idx) }
+func keyOwn(rank int) string     { return "hs/own/" + strconv.Itoa(rank) }
+func keyOwnCT(rank int) string   { return "hs/ownct/" + strconv.Itoa(rank) }
+func keyNodeCT(node int) string  { return "hs/nodect/" + strconv.Itoa(node) }
+func keyNodePT(node int) string  { return "hs/nodept/" + strconv.Itoa(node) }
+func keyPT(node, idx int) string { return "hs/pt/" + strconv.Itoa(node) + "/" + strconv.Itoa(idx) }
 
 // copyOut charges the final staging from the shared-memory plaintext
 // buffer into the user buffer (HS step 4): a single bulk copy under block
