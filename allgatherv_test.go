@@ -2,10 +2,32 @@ package encag
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// allgatherV runs one all-gatherv on a fresh chan-engine session.
+func allgatherV(spec Spec, alg Alg, data [][]byte) (*RunResult, error) {
+	s, err := OpenSession(context.Background(), spec)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return s.AllgatherV(context.Background(), alg, data)
+}
+
+// simSession opens a sim-engine session on the Noleland profile.
+func simSession(t *testing.T, spec Spec, opts ...Option) *Session {
+	t.Helper()
+	s, err := OpenSession(context.Background(), spec, append([]Option{WithEngine(EngineSim), WithProfile(Noleland())}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
 
 func TestAllgatherVBasic(t *testing.T) {
 	spec := Spec{Procs: 8, Nodes: 4}
@@ -19,8 +41,13 @@ func TestAllgatherVBasic(t *testing.T) {
 		[]byte("x"),
 		bytes.Repeat([]byte{1}, 2000),
 	}
+	s, err := OpenSession(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	for _, alg := range append(PaperAlgorithms(), "auto") {
-		res, err := AllgatherV(spec, alg, data)
+		res, err := s.AllgatherV(context.Background(), alg, data)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -44,8 +71,9 @@ func TestSimulateVSkewedSizes(t *testing.T) {
 	for i := range sizes {
 		sizes[i] = int64(i) * 4096 // heavily skewed, rank 0 empty
 	}
+	s := simSession(t, spec)
 	for _, alg := range []Alg{AlgNaive, AlgCRing, AlgHS2} {
-		res, err := SimulateV(spec, Noleland(), alg, sizes)
+		res, err := s.SimulateV(context.Background(), alg, sizes)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -59,16 +87,16 @@ func TestSimulateVSkewedSizes(t *testing.T) {
 	for i := range uniform {
 		uniform[i] = 30 << 10
 	}
-	if _, err := SimulateV(spec, Noleland(), "hs2", uniform); err != nil {
+	if _, err := s.SimulateV(context.Background(), "hs2", uniform); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAllgatherVCountMismatch(t *testing.T) {
-	if _, err := AllgatherV(Spec{Procs: 4, Nodes: 2}, "hs2", make([][]byte, 3)); err == nil {
+	if _, err := allgatherV(Spec{Procs: 4, Nodes: 2}, "hs2", make([][]byte, 3)); err == nil {
 		t.Fatal("wrong contribution count accepted")
 	}
-	if _, err := SimulateV(Spec{Procs: 4, Nodes: 2}, Noleland(), "hs2", []int64{1, 2}); err == nil {
+	if _, err := simSession(t, Spec{Procs: 4, Nodes: 2}).SimulateV(context.Background(), "hs2", []int64{1, 2}); err == nil {
 		t.Fatal("wrong size count accepted")
 	}
 }
@@ -97,7 +125,7 @@ func TestQuickAllgatherV(t *testing.T) {
 		}
 		algs := PaperAlgorithms()
 		alg := algs[rng.Intn(len(algs))]
-		res, err := AllgatherV(spec, alg, data)
+		res, err := allgatherV(spec, alg, data)
 		if err != nil || !res.SecurityOK {
 			return false
 		}

@@ -37,8 +37,6 @@ func main() {
 	refine := flag.Bool("refine", true, "let alg=auto fold this session's own latencies back into its estimates")
 	sizeStr := flag.String("size", "64KB", "message size")
 	window := flag.Int("window", 4, "nonblocking in-flight window")
-	pipeline := flag.Bool("pipeline", false, "stream sealed segments onto the wire inside each collective")
-	segWindow := flag.Int("segwindow", 0, "in-flight segment window per stream (0 = default; implies -pipeline)")
 	interval := flag.Duration("interval", 0, "pause between Start calls (0 = rely on window backpressure)")
 	duration := flag.Duration("duration", 0, "how long to run (0 = until SIGINT)")
 	addr := flag.String("addr", "", "debug server listen address (empty = ephemeral loopback port)")
@@ -71,13 +69,6 @@ func main() {
 		encag.WithMaxInFlight(*window),
 		encag.WithDebugServer(*addr),
 	}
-	if *pipeline || *segWindow > 0 {
-		*pipeline = true
-		opts = append(opts, encag.WithPipelining(true))
-		if *segWindow > 0 {
-			opts = append(opts, encag.WithSegmentWindow(*segWindow))
-		}
-	}
 	if *tablePath != "" {
 		table, err := encag.LoadTuningTable(*tablePath)
 		if err != nil {
@@ -93,8 +84,8 @@ func main() {
 		fatal(err)
 	}
 	defer sess.Close()
-	fmt.Printf("encag-mon: %s %s p=%d nodes=%d window=%d pipeline=%v\n",
-		engine, alg, *p, *nodes, *window, *pipeline)
+	fmt.Printf("encag-mon: %s %s p=%d nodes=%d window=%d\n",
+		engine, alg, *p, *nodes, *window)
 	fmt.Printf("metrics at http://%s/metrics (also /debug/vars, /debug/pprof/)\n", sess.DebugAddr())
 
 	// Issue collectives until the context ends; the in-flight window is
@@ -140,12 +131,6 @@ func main() {
 		snap.WindowWaits, snap.FramesSent, snap.FramesRecv, snap.BytesSent)
 	fmt.Printf("seal: segments sealed=%d opened=%d  pool saturated=%d\n",
 		snap.SegmentsSealed, snap.SegmentsOpened, snap.PoolSaturated)
-	if *pipeline {
-		fmt.Printf("pipeline: msgs=%d streams=%d inline chunks=%d segments sent=%d recv=%d inline opens=%d window=%d\n",
-			snap.PipelineMsgs, snap.PipelineStreams, snap.PipelineInlineChunks,
-			snap.PipelineSegmentsSent, snap.PipelineSegmentsRecv,
-			snap.PipelineInlineOpens, snap.PipelineWindow)
-	}
 	if engine == encag.EngineTCP {
 		fmt.Printf("wire: %d bytes  reconnects=%d resends=%d dedup drops=%d\n",
 			snap.WireBytes, snap.Reconnects, snap.Resends, snap.DedupDrops)

@@ -41,7 +41,6 @@ func main() {
 	maxQueue := flag.Int("maxqueue", 0, "callers allowed to wait for a step slot (0 = 4x maxsteps)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "max wait for a step slot (0 = 2s)")
 	cryptoWorkers := flag.Int("crypto-workers", 0, "shared crypto pool size (0 = GOMAXPROCS)")
-	pipeline := flag.Bool("pipeline", false, "stream sealed segments onto the wire inside each collective")
 	warm := flag.Bool("warm", false, "open every registered tenant's session at startup")
 	addr := flag.String("addr", "", "HTTP listen address (empty = ephemeral loopback port)")
 	duration := flag.Duration("duration", 0, "how long to serve (0 = until SIGINT)")
@@ -51,13 +50,9 @@ func main() {
 	if engine != encag.EngineChan && engine != encag.EngineTCP {
 		fatal(fmt.Errorf("unknown -engine %q (want chan or tcp)", *engineStr))
 	}
-	opts := []encag.Option{encag.WithEngine(engine)}
-	if *pipeline {
-		opts = append(opts, encag.WithPipelining(true))
-	}
 	cfg := serve.Config{
 		Spec:           encag.Spec{Procs: *p, Nodes: *nodes},
-		SessionOptions: opts,
+		SessionOptions: []encag.Option{encag.WithEngine(engine)},
 		Capacity:       *capacity,
 		IdleTTL:        *idleTTL,
 		RekeyEvery:     *rekeyEvery,

@@ -1,6 +1,6 @@
 // Command encag-trace renders an activity timeline of one encrypted
 // all-gather on any of the three engines: the discrete-event simulator
-// (predicted, virtual time), the real in-memory engine or the loopback
+// (predicted, virtual time), the in-memory chan engine or the loopback
 // TCP engine (both measured, wall-clock time). It makes visible *why*
 // an algorithm wins — e.g. Naive's serial decryption tail versus HS2's
 // parallel joint decryption — and lets the model's predicted timeline
@@ -17,10 +17,11 @@
 //
 //	encag-trace -alg naive -p 16 -nodes 4 -size 64KB
 //	encag-trace -engine tcp -alg hs2 -p 8 -nodes 2 -format chrome -o trace.json
-//	encag-trace -engine real -alg c-rd -p 16 -nodes 4 -format jsonl
+//	encag-trace -engine chan -alg c-rd -p 16 -nodes 4 -format jsonl
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -30,7 +31,6 @@ import (
 	"encag/internal/bench"
 	"encag/internal/cluster"
 	"encag/internal/obs"
-	"encag/internal/trace"
 )
 
 func main() {
@@ -41,7 +41,7 @@ func main() {
 	sizeStr := flag.String("size", "64KB", "message size")
 	profName := flag.String("profile", "noleland", "machine profile (sim engine only)")
 	width := flag.Int("width", 100, "gantt width in characters (text format)")
-	engine := flag.String("engine", "sim", "execution engine: sim, real or tcp")
+	engineStr := flag.String("engine", "sim", "execution engine: sim, chan or tcp")
 	format := flag.String("format", "text", "output format: text, chrome or jsonl")
 	outPath := flag.String("o", "", "write output to this file instead of stdout")
 	flag.Parse()
@@ -59,62 +59,61 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown format %q (want text, chrome or jsonl)", *format))
 	}
-	// Spec construction rejects unknown mappings instead of silently
-	// falling back to block.
-	spec := encag.Spec{Procs: *p, Nodes: *nodes, Mapping: *mapping}
-
-	var (
-		tr      *encag.Trace
-		summary obs.RunSummary
-		header  string
-	)
-	switch *engine {
-	case "sim":
+	col := &encag.TraceCollector{}
+	engine := encag.Engine(*engineStr)
+	opts := []encag.Option{encag.WithEngine(engine), encag.WithTracer(col)}
+	switch engine {
+	case encag.EngineSim:
 		prof, err := encag.ProfileByName(*profName)
 		if err != nil {
 			fatal(err)
 		}
-		res, t, err := encag.SimulateTraced(spec, prof, alg, size)
+		opts = append(opts, encag.WithProfile(prof))
+	case encag.EngineChan, encag.EngineTCP:
+	default:
+		fatal(fmt.Errorf("unknown engine %q (want sim, chan or tcp)", *engineStr))
+	}
+	// Spec construction rejects unknown mappings instead of silently
+	// falling back to block.
+	spec := encag.Spec{Procs: *p, Nodes: *nodes, Mapping: *mapping}
+	ctx := context.Background()
+	s, err := encag.OpenSession(ctx, spec, opts...)
+	if err != nil {
+		fatal(err)
+	}
+
+	var (
+		summary obs.RunSummary
+		header  string
+	)
+	if engine == encag.EngineSim {
+		res, err := s.Simulate(ctx, alg, size)
 		if err != nil {
 			fatal(err)
 		}
-		tr = t
 		summary = obs.Summarize("sim", string(alg), clusterSpec(spec), size,
-			res.Latency.Seconds(), res.Metrics, tr.Events).
+			res.Latency.Seconds(), res.Metrics, col.Events).
 			WithSelected(string(res.Algorithm))
 		header = fmt.Sprintf("%s on p=%d nodes=%d %s, %s blocks [sim/%s]: predicted latency %v",
 			alg, *p, *nodes, *mapping, bench.SizeName(size), *profName, res.Latency)
-	case "real":
-		res, t, err := encag.RunTraced(spec, alg, size)
+	} else {
+		res, err := s.Run(ctx, alg, size)
 		if err != nil {
 			fatal(err)
 		}
-		tr = t
-		summary = obs.Summarize("real", string(alg), clusterSpec(spec), size,
-			res.Elapsed.Seconds(), res.Metrics, tr.Events).
+		summary = obs.Summarize(string(engine), string(alg), clusterSpec(spec), size,
+			res.Elapsed.Seconds(), res.Metrics, col.Events).
 			WithSecurity(res.SecurityOK).
 			WithSelected(string(res.Algorithm)).
 			WithOp(res.OpID, 1)
-		header = fmt.Sprintf("%s on p=%d nodes=%d %s, %s blocks [real]: elapsed %v, security ok=%v",
-			alg, *p, *nodes, *mapping, bench.SizeName(size), res.Elapsed, res.SecurityOK)
-	case "tcp":
-		res, t, err := encag.RunOverTCPTraced(spec, alg, size)
-		if err != nil {
-			fatal(err)
+		header = fmt.Sprintf("%s on p=%d nodes=%d %s, %s blocks [%s]: elapsed %v, security ok=%v",
+			alg, *p, *nodes, *mapping, bench.SizeName(size), engine, res.Elapsed, res.SecurityOK)
+		if wire := s.Wire(); wire != nil {
+			summary = summary.WithWire(wire.Bytes, wire.Truncated)
+			header += fmt.Sprintf(", wire %d bytes (truncated=%v)", wire.Bytes, wire.Truncated)
 		}
-		tr = t
-		summary = obs.Summarize("tcp", string(alg), clusterSpec(spec), size,
-			res.Elapsed.Seconds(), res.Metrics, tr.Events).
-			WithSecurity(res.SecurityOK).
-			WithWire(res.WireBytes, res.WireTruncated).
-			WithSelected(string(res.Algorithm)).
-			WithOp(res.OpID, 1)
-		header = fmt.Sprintf("%s on p=%d nodes=%d %s, %s blocks [tcp]: elapsed %v, security ok=%v, wire %d bytes (truncated=%v)",
-			alg, *p, *nodes, *mapping, bench.SizeName(size), res.Elapsed, res.SecurityOK,
-			res.WireBytes, res.WireTruncated)
-	default:
-		fatal(fmt.Errorf("unknown engine %q (want sim, real or tcp)", *engine))
 	}
+	s.Close()
 
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
@@ -133,7 +132,6 @@ func main() {
 	switch *format {
 	case "text":
 		fmt.Fprintf(out, "%s\n\n", header)
-		col := &trace.Collector{Events: tr.Events}
 		if err := col.Gantt(out, *p, *width); err != nil {
 			fatal(err)
 		}
@@ -142,7 +140,7 @@ func main() {
 			fatal(err)
 		}
 	case "chrome":
-		if err := obs.WriteChromeTrace(out, tr.Events); err != nil {
+		if err := obs.WriteChromeTrace(out, col.Events); err != nil {
 			fatal(err)
 		}
 	case "jsonl":

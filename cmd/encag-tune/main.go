@@ -41,18 +41,17 @@ func main() {
 	sizesStr := flag.String("sizes", "256B,1KB,4KB,16KB,64KB,256KB", "comma-separated message sizes")
 	algsStr := flag.String("algs", "", "comma-separated candidate algorithms (default: the paper's eight)")
 	k := flag.Int("k", 3, "best-of-k runs per (cell, algorithm)")
-	pipeline := flag.String("pipeline", "off", "pipelining modes to sweep: off, on or both")
 	quick := flag.Bool("quick", false, "reduced grid for a fast smoke run (chan+tcp, p=4 N=2, three sizes, k=1)")
 	note := flag.String("note", "", "free-form note recorded in the table")
 	sizeStr := flag.String("size", "64KB", "message size (lookup mode)")
 	flag.Parse()
 
 	if *lookup {
-		runLookup(*tablePath, *enginesStr, *pStr, *nodesStr, *sizeStr, *pipeline)
+		runLookup(*tablePath, *enginesStr, *pStr, *nodesStr, *sizeStr)
 		return
 	}
 
-	grid, err := buildGrid(*enginesStr, *pStr, *nodesStr, *sizesStr, *algsStr, *pipeline, *k, *quick)
+	grid, err := buildGrid(*enginesStr, *pStr, *nodesStr, *sizesStr, *algsStr, *k, *quick)
 	if err != nil {
 		fatal(err)
 	}
@@ -82,16 +81,15 @@ func main() {
 }
 
 // buildGrid translates the flag strings into a validated TuneGrid.
-func buildGrid(enginesStr, pStr, nodesStr, sizesStr, algsStr, pipeline string, k int, quick bool) (bench.TuneGrid, error) {
+func buildGrid(enginesStr, pStr, nodesStr, sizesStr, algsStr string, k int, quick bool) (bench.TuneGrid, error) {
 	var g bench.TuneGrid
 	if quick {
 		g = bench.TuneGrid{
-			Engines:    []encag.Engine{encag.EngineChan, encag.EngineTCP},
-			Pipelining: []bool{false},
-			Procs:      []int{4},
-			Nodes:      []int{2},
-			Sizes:      []int64{256, 16 << 10, 128 << 10},
-			BestOf:     1,
+			Engines: []encag.Engine{encag.EngineChan, encag.EngineTCP},
+			Procs:   []int{4},
+			Nodes:   []int{2},
+			Sizes:   []int64{256, 16 << 10, 128 << 10},
+			BestOf:  1,
 		}
 		return g, nil
 	}
@@ -121,16 +119,6 @@ func buildGrid(enginesStr, pStr, nodesStr, sizesStr, algsStr, pipeline string, k
 		}
 		g.Algs = append(g.Algs, alg)
 	}
-	switch pipeline {
-	case "off", "":
-		g.Pipelining = []bool{false}
-	case "on":
-		g.Pipelining = []bool{true}
-	case "both":
-		g.Pipelining = []bool{false, true}
-	default:
-		return g, fmt.Errorf("-pipeline: want off, on or both, got %q", pipeline)
-	}
 	g.BestOf = k
 	return g, nil
 }
@@ -139,7 +127,7 @@ func buildGrid(enginesStr, pStr, nodesStr, sizesStr, algsStr, pipeline string, k
 // configuration under the given table — exactly the session's policy:
 // table argmin (restricted to encrypted algorithms), falling back to the
 // built-in thresholds when the table has no matching cell.
-func runLookup(tablePath, enginesStr, pStr, nodesStr, sizeStr, pipeline string) {
+func runLookup(tablePath, enginesStr, pStr, nodesStr, sizeStr string) {
 	var table *tune.Table
 	if tablePath != "" {
 		var err error
@@ -163,9 +151,6 @@ func runLookup(tablePath, enginesStr, pStr, nodesStr, sizeStr, pipeline string) 
 	if err != nil {
 		fatal(err)
 	}
-	if pipeline != "off" && pipeline != "on" && pipeline != "" {
-		fatal(fmt.Errorf("-pipeline: lookup mode wants off or on, got %q", pipeline))
-	}
 	// Mirror the session's auto-candidate filter: only encrypted
 	// algorithms may be selected, whatever the table claims.
 	valid := func(name string) bool {
@@ -176,11 +161,10 @@ func runLookup(tablePath, enginesStr, pStr, nodesStr, sizeStr, pipeline string) 
 		return err == nil
 	}
 	k := tune.Key{
-		Bucket:    tune.BucketOf(size),
-		P:         procs[0],
-		N:         nodes[0],
-		Engine:    engines[0],
-		Pipelined: pipeline == "on",
+		Bucket: tune.BucketOf(size),
+		P:      procs[0],
+		N:      nodes[0],
+		Engine: engines[0],
 	}
 	fmt.Println(tune.NewTuner(table, valid).Pick(k, size))
 }

@@ -90,16 +90,6 @@ type TraceEvent = cluster.TraceEvent
 // TraceKind labels a TraceEvent's activity category.
 type TraceKind = cluster.TraceKind
 
-// Trace is the collected activity timeline of a traced run. Event times
-// are seconds since the operation started: virtual seconds on EngineSim
-// (SimulateTraced), wall-clock seconds on EngineChan and EngineTCP
-// (RunTraced, RunOverTCPTraced) — the same stream in both cases, so a
-// predicted and a measured timeline can be compared directly (see
-// internal/obs for exporters).
-type Trace struct {
-	Events []TraceEvent
-}
-
 // BoundSet carries Table I / Table II style metric tuples (pure
 // analysis; no engine involved).
 type BoundSet = bounds.Metrics
@@ -207,53 +197,12 @@ type RunResult struct {
 // Deprecated: use OpenSession and Session.Allgather to run many
 // collectives over one session.
 func Allgather(spec Spec, algorithm Alg, data [][]byte) (*RunResult, error) {
-	return allgather(spec, algorithm, data, nil)
-}
-
-// allgather backs the deprecated one-shot chan-engine entry points with
-// a single-use Session.
-func allgather(spec Spec, algorithm Alg, data [][]byte, col *TraceCollector) (*RunResult, error) {
-	var opts []Option
-	if col != nil {
-		opts = append(opts, WithTracer(col))
-	}
-	s, err := OpenSession(context.Background(), spec, opts...)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Allgather(context.Background(), algorithm, data)
-}
-
-// AllgatherV is the variable-block-size (all-gatherv) extension on
-// EngineChan: each rank's contribution may have a different length,
-// including zero. The paper's algorithms generalize directly — blocks
-// are opaque units to every exchange schedule — and the same security
-// guarantees are enforced.
-//
-// Deprecated: use OpenSession and Session.AllgatherV to run many
-// collectives over one session.
-func AllgatherV(spec Spec, algorithm Alg, data [][]byte) (*RunResult, error) {
 	s, err := OpenSession(context.Background(), spec)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	return s.AllgatherV(context.Background(), algorithm, data)
-}
-
-// SimulateV is the all-gatherv variant of Simulate (EngineSim): sizes[r]
-// is rank r's contribution length in bytes.
-//
-// Deprecated: use OpenSession with WithEngine(EngineSim) and
-// WithProfile, then Session.SimulateV.
-func SimulateV(spec Spec, prof Profile, algorithm Alg, sizes []int64) (SimResult, error) {
-	s, err := OpenSession(context.Background(), spec, WithEngine(EngineSim), WithProfile(prof))
-	if err != nil {
-		return SimResult{}, err
-	}
-	defer s.Close()
-	return s.SimulateV(context.Background(), algorithm, sizes)
+	return s.Allgather(context.Background(), algorithm, data)
 }
 
 // TCPResult extends RunResult with the byte-level wire capture of the
@@ -281,7 +230,7 @@ type TCPResult struct {
 // for every collective, while this wrapper re-pays the O(p²) setup on
 // every call.
 func RunOverTCP(spec Spec, algorithm Alg, msgSize int64) (*TCPResult, error) {
-	return runOverTCP(spec, algorithm, msgSize, nil, nil)
+	return runOverTCP(spec, algorithm, msgSize, nil)
 }
 
 // FaultPlan is a deterministic, seedable fault-injection schedule for
@@ -335,7 +284,7 @@ type RankError = cluster.RankError
 // Deprecated: use OpenSession with WithEngine(EngineTCP) and
 // WithFaultPlan (or a per-operation WithFaultPlan on Session.Run).
 func RunTCPFaulty(spec Spec, algorithm Alg, msgSize int64, plan *FaultPlan) (*TCPResult, error) {
-	return runOverTCP(spec, algorithm, msgSize, nil, plan)
+	return runOverTCP(spec, algorithm, msgSize, plan)
 }
 
 // RunFaulty is Run under a fault-injection plan, applied at message
@@ -361,11 +310,8 @@ func RunFaulty(spec Spec, algorithm Alg, msgSize int64, plan *FaultPlan) (*RunRe
 
 // runOverTCP backs the deprecated one-shot tcp-engine entry points with
 // a single-use Session.
-func runOverTCP(spec Spec, algorithm Alg, msgSize int64, col *TraceCollector, plan *FaultPlan) (*TCPResult, error) {
+func runOverTCP(spec Spec, algorithm Alg, msgSize int64, plan *FaultPlan) (*TCPResult, error) {
 	opts := []Option{WithEngine(EngineTCP)}
-	if col != nil {
-		opts = append(opts, WithTracer(col))
-	}
 	if plan != nil {
 		opts = append(opts, WithFaultPlan(plan))
 	}
@@ -400,74 +346,6 @@ func Run(spec Spec, algorithm Alg, msgSize int64) (*RunResult, error) {
 	}
 	defer s.Close()
 	return s.Run(context.Background(), algorithm, msgSize)
-}
-
-// RunTraced is Run with wall-clock tracing: alongside the result it
-// returns the measured activity timeline of every rank — each send,
-// recv-wait, encrypt, decrypt, copy and barrier interval, in seconds
-// since the collective started.
-//
-// Deprecated: use OpenSession with WithTracer and Session.Run.
-func RunTraced(spec Spec, algorithm Alg, msgSize int64) (*RunResult, *Trace, error) {
-	col := &TraceCollector{}
-	s, err := OpenSession(context.Background(), spec, WithTracer(col))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer s.Close()
-	res, err := s.Run(context.Background(), algorithm, msgSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &Trace{Events: col.Events}, nil
-}
-
-// AllgatherTraced is Allgather with wall-clock tracing (see RunTraced).
-//
-// Deprecated: use OpenSession with WithTracer and Session.Allgather.
-func AllgatherTraced(spec Spec, algorithm Alg, data [][]byte) (*RunResult, *Trace, error) {
-	col := &TraceCollector{}
-	res, err := allgather(spec, algorithm, data, col)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &Trace{Events: col.Events}, nil
-}
-
-// RunOverTCPTraced is RunOverTCP with wall-clock tracing (see
-// RunTraced): the timeline measures real socket sends, receive waits
-// and AES-GCM work.
-//
-// Deprecated: use OpenSession with WithEngine(EngineTCP) and WithTracer,
-// then Session.Run.
-func RunOverTCPTraced(spec Spec, algorithm Alg, msgSize int64) (*TCPResult, *Trace, error) {
-	col := &TraceCollector{}
-	res, err := runOverTCP(spec, algorithm, msgSize, col, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &Trace{Events: col.Events}, nil
-}
-
-// SimulateTraced is Simulate with virtual-time tracing (EngineSim): the
-// returned timeline is the model's *predicted* schedule, directly
-// comparable to the measured one from RunTraced/RunOverTCPTraced.
-//
-// Deprecated: use OpenSession with WithEngine(EngineSim), WithProfile
-// and WithTracer, then Session.Simulate.
-func SimulateTraced(spec Spec, prof Profile, algorithm Alg, msgSize int64) (SimResult, *Trace, error) {
-	col := &TraceCollector{}
-	s, err := OpenSession(context.Background(), spec,
-		WithEngine(EngineSim), WithProfile(prof), WithTracer(col))
-	if err != nil {
-		return SimResult{}, nil, err
-	}
-	defer s.Close()
-	res, err := s.Simulate(context.Background(), algorithm, msgSize)
-	if err != nil {
-		return SimResult{}, nil, err
-	}
-	return res, &Trace{Events: col.Events}, nil
 }
 
 // CombineFunc is an all-reduce operator: it folds src into dst (equal

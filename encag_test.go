@@ -2,6 +2,7 @@ package encag
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -156,7 +157,7 @@ func TestAlgorithmsListRealEngine(t *testing.T) {
 }
 
 // kindTimes folds a trace into per-kind total seconds.
-func kindTimes(tr *Trace) map[TraceKind]float64 {
+func kindTimes(tr *TraceCollector) map[TraceKind]float64 {
 	out := make(map[TraceKind]float64)
 	for _, ev := range tr.Events {
 		out[ev.Kind] += ev.End - ev.Start
@@ -164,15 +165,29 @@ func kindTimes(tr *Trace) map[TraceKind]float64 {
 	return out
 }
 
-// RunTraced must produce a wall-clock timeline whose encrypt/decrypt
-// byte totals agree with the six-metric summary and whose spans lie
-// within the elapsed window.
-func TestRunTracedTimeline(t *testing.T) {
-	spec := Spec{Procs: 8, Nodes: 2}
-	res, tr, err := RunTraced(spec, "hs2", 4096)
+// tracedRun runs one collective on a fresh session with a tracer
+// attached and returns the result with the collected timeline.
+func tracedRun(t *testing.T, spec Spec, engine Engine, alg Alg, msgSize int64) (*RunResult, *Session, *TraceCollector) {
+	t.Helper()
+	col := &TraceCollector{}
+	s, err := OpenSession(context.Background(), spec, WithEngine(engine), WithTracer(col))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
+	res, err := s.Run(context.Background(), alg, msgSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, s, col
+}
+
+// A traced session run must produce a wall-clock timeline whose
+// encrypt/decrypt byte totals agree with the six-metric summary and
+// whose spans lie within the elapsed window.
+func TestRunTracedTimeline(t *testing.T) {
+	spec := Spec{Procs: 8, Nodes: 2}
+	res, _, tr := tracedRun(t, spec, EngineChan, "hs2", 4096)
 	if !res.SecurityOK {
 		t.Fatalf("violations: %v", res.Violations)
 	}
@@ -213,21 +228,19 @@ func TestRunTracedTimeline(t *testing.T) {
 	}
 }
 
-// Untraced runs must stay trace-free and still succeed after the engine
-// hook refactor.
+// A traced TCP session run must record its socket sends while the
+// wire stays free of plaintext.
 func TestRunOverTCPTraced(t *testing.T) {
 	spec := Spec{Procs: 8, Nodes: 2}
-	res, tr, err := RunOverTCPTraced(spec, "hs2", 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.SecurityOK || !res.WireClean {
+	res, s, tr := tracedRun(t, spec, EngineTCP, "hs2", 1024)
+	if !res.SecurityOK || !s.WireClean(1024) {
 		t.Fatalf("security failed: %v", res.Violations)
 	}
-	if res.WireBytes == 0 {
+	wire := s.Wire()
+	if wire.Bytes == 0 {
 		t.Fatal("no wire bytes recorded")
 	}
-	if res.WireTruncated {
+	if wire.Truncated {
 		t.Fatal("small capture unexpectedly truncated")
 	}
 	if len(tr.Events) == 0 {
@@ -239,7 +252,7 @@ func TestRunOverTCPTraced(t *testing.T) {
 	}
 }
 
-func kindBytes(tr *Trace, k TraceKind) int64 {
+func kindBytes(tr *TraceCollector, k TraceKind) int64 {
 	var n int64
 	for _, ev := range tr.Events {
 		if ev.Kind == k {
@@ -249,18 +262,20 @@ func kindBytes(tr *Trace, k TraceKind) int64 {
 	return n
 }
 
-// SimulateTraced must agree with Simulate and return the virtual-time
-// timeline.
+// A traced simulation must agree with an untraced one and return the
+// virtual-time timeline.
 func TestSimulateTraced(t *testing.T) {
 	spec := Spec{Procs: 16, Nodes: 4}
 	plainRes, err := Simulate(spec, Noleland(), "c-rd", 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, tr, err := SimulateTraced(spec, Noleland(), "c-rd", 8192)
+	col := &TraceCollector{}
+	res, err := simSession(t, spec, WithTracer(col)).Simulate(context.Background(), "c-rd", 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := col
 	if res.Latency != plainRes.Latency || res.Metrics != plainRes.Metrics {
 		t.Fatalf("traced sim differs from plain sim: %v/%v vs %v/%v",
 			res.Latency, res.Metrics, plainRes.Latency, plainRes.Metrics)

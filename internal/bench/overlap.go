@@ -18,16 +18,8 @@ import (
 // serialized one clearly at 1KB and more modestly at 64KB, where the
 // links are already kept busy by a single op.
 //
-// The "+pipe" rows rerun the same batch on sessions opened with
-// WithPipelining(true), so sealed segments stream onto the wire inside
-// each collective. They only appear at sizes past the streaming
-// threshold; comparing a "+pipe" row against its plain counterpart is
-// the pipelined-vs-serial wall-clock study EXPERIMENTS.md documents.
-//
 // Beyond the c-ring baseline, the table carries hierarchical rows
-// (hs1, hs2): their inter-node exchanges send multi-chunk messages, so
-// their "+pipe" rows exercise the per-chunk stream interleaving that
-// single-chunk algorithms never reach.
+// (hs1, hs2), whose inter-node exchanges send multi-chunk messages.
 func Overlap(opts Options) ([]Table, error) {
 	ops := opts.Iters
 	if ops <= 0 {
@@ -50,44 +42,32 @@ func Overlap(opts Options) ([]Table, error) {
 		Notes: []string{
 			"serialized: N back-to-back Session.Run calls on one session",
 			"w=k: the same N collectives via Session.Start under WithMaxInFlight(k), then WaitAll",
-			"engine '+pipe' rows open the session with WithPipelining(true): sealed segments stream onto the wire inside each op",
-			"hs1/hs2 rows send multi-chunk inter-node messages, so their '+pipe' rows interleave several per-chunk streams per envelope",
-			"session setup and warm-up are untimed: this is steady-state pipelining, not mesh amortization (see the session experiment)",
+			"hs1/hs2 rows send multi-chunk inter-node messages",
+			"session setup and warm-up are untimed: this is steady-state overlap, not mesh amortization (see the session experiment)",
 			"wall clock on this host; loopback sockets, real AES-GCM",
 		},
 	}
 	variants := []struct {
-		label string
-		eng   encag.Engine
-		alg   encag.Alg
-		piped bool
+		eng encag.Engine
+		alg encag.Alg
 	}{
-		{"chan", encag.EngineChan, "c-ring", false},
-		{"chan+pipe", encag.EngineChan, "c-ring", true},
-		{"tcp", encag.EngineTCP, "c-ring", false},
-		{"tcp+pipe", encag.EngineTCP, "c-ring", true},
-		{"chan", encag.EngineChan, "hs1", false},
-		{"chan+pipe", encag.EngineChan, "hs1", true},
-		{"tcp", encag.EngineTCP, "hs1", false},
-		{"tcp+pipe", encag.EngineTCP, "hs1", true},
-		{"chan", encag.EngineChan, "hs2", false},
-		{"chan+pipe", encag.EngineChan, "hs2", true},
-		{"tcp", encag.EngineTCP, "hs2", false},
-		{"tcp+pipe", encag.EngineTCP, "hs2", true},
+		{encag.EngineChan, "c-ring"},
+		{encag.EngineTCP, "c-ring"},
+		{encag.EngineChan, "hs1"},
+		{encag.EngineTCP, "hs1"},
+		{encag.EngineChan, "hs2"},
+		{encag.EngineTCP, "hs2"},
 	}
 	for _, v := range variants {
 		for _, m := range szs {
-			if v.piped && m < 16<<10 {
-				continue // below the streaming threshold: identical to the plain row
-			}
-			serialized, err := timeOverlap(v.eng, spec, v.alg, m, ops, 1, v.piped)
+			serialized, err := timeOverlap(v.eng, spec, v.alg, m, ops, 1)
 			if err != nil {
 				return nil, err
 			}
-			row := []string{v.label, string(v.alg), SizeName(m), fmt.Sprint(ops), fmtUS(serialized.Seconds())}
+			row := []string{string(v.eng), string(v.alg), SizeName(m), fmt.Sprint(ops), fmtUS(serialized.Seconds())}
 			best := serialized
 			for _, w := range windows {
-				d, err := timeOverlap(v.eng, spec, v.alg, m, ops, w, v.piped)
+				d, err := timeOverlap(v.eng, spec, v.alg, m, ops, w)
 				if err != nil {
 					return nil, err
 				}
@@ -107,13 +87,9 @@ func Overlap(opts Options) ([]Table, error) {
 // in-flight window: window 1 issues them serially through Run, larger
 // windows through Start/WaitAll. Open, one warm-up collective and Close
 // stay outside the timed region.
-func timeOverlap(eng encag.Engine, spec encag.Spec, alg encag.Alg, m int64, ops, window int, piped bool) (time.Duration, error) {
+func timeOverlap(eng encag.Engine, spec encag.Spec, alg encag.Alg, m int64, ops, window int) (time.Duration, error) {
 	ctx := context.Background()
-	sopts := []encag.Option{encag.WithEngine(eng), encag.WithMaxInFlight(window)}
-	if piped {
-		sopts = append(sopts, encag.WithPipelining(true))
-	}
-	s, err := encag.OpenSession(ctx, spec, sopts...)
+	s, err := encag.OpenSession(ctx, spec, encag.WithEngine(eng), encag.WithMaxInFlight(window))
 	if err != nil {
 		return 0, err
 	}

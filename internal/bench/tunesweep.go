@@ -12,7 +12,7 @@ import (
 )
 
 // TuneGrid describes one offline tuning sweep: the cross product of
-// engines, pipelining modes, cluster shapes and message sizes, each
+// engines, cluster shapes and message sizes, each
 // cell measuring every candidate algorithm best-of-k. The grid is what
 // cmd/encag-tune drives; TuneSweep turns it into the tuning table
 // alg=auto consumes plus human-readable crossover reports.
@@ -20,9 +20,6 @@ type TuneGrid struct {
 	// Engines to measure on ("chan", "tcp"); each engine gets its own
 	// table cells — crossovers move with the transport.
 	Engines []encag.Engine
-	// Pipelining lists the pipelining modes to sweep (false, true);
-	// pipelining shifts the large-message crossovers.
-	Pipelining []bool
 	// Procs/Nodes pairs index-align: shape i is (Procs[i], Nodes[i]).
 	Procs []int
 	Nodes []int
@@ -40,9 +37,6 @@ type TuneGrid struct {
 func (g *TuneGrid) Validate() error {
 	if len(g.Engines) == 0 {
 		g.Engines = []encag.Engine{encag.EngineChan, encag.EngineTCP}
-	}
-	if len(g.Pipelining) == 0 {
-		g.Pipelining = []bool{false}
 	}
 	if len(g.Procs) == 0 || len(g.Procs) != len(g.Nodes) {
 		return fmt.Errorf("bench: tune grid needs index-aligned Procs/Nodes (%d vs %d)", len(g.Procs), len(g.Nodes))
@@ -65,7 +59,7 @@ func (g *TuneGrid) Validate() error {
 }
 
 // TuneSweep measures the grid and returns the tuning table plus one
-// crossover-report Table per (engine, pipelining, shape) configuration.
+// crossover-report Table per (engine, shape) configuration.
 // All measurements in one configuration share a session, so the sweep
 // times steady-state collectives — what alg=auto selections will
 // actually experience — not mesh setup. Sizes landing in the same
@@ -78,14 +72,12 @@ func TuneSweep(g TuneGrid) (*tune.Table, []Table, error) {
 	cells := make(map[tune.Key]*tune.Cell)
 	var reports []Table
 	for _, eng := range g.Engines {
-		for _, piped := range g.Pipelining {
-			for i := range g.Procs {
-				rep, err := sweepConfig(g, eng, piped, g.Procs[i], g.Nodes[i], cells)
-				if err != nil {
-					return nil, nil, err
-				}
-				reports = append(reports, rep)
+		for i := range g.Procs {
+			rep, err := sweepConfig(g, eng, g.Procs[i], g.Nodes[i], cells)
+			if err != nil {
+				return nil, nil, err
 			}
+			reports = append(reports, rep)
 		}
 	}
 	for _, c := range cells {
@@ -98,17 +90,13 @@ func TuneSweep(g TuneGrid) (*tune.Table, []Table, error) {
 	return table, reports, nil
 }
 
-// sweepConfig measures one (engine, pipelining, p, n) configuration
+// sweepConfig measures one (engine, p, n) configuration
 // over all sizes and algorithms, folding measurements into cells and
 // returning the human-readable crossover report.
-func sweepConfig(g TuneGrid, eng encag.Engine, piped bool, p, n int, cells map[tune.Key]*tune.Cell) (Table, error) {
-	mode := ""
-	if piped {
-		mode = ", pipelined"
-	}
+func sweepConfig(g TuneGrid, eng encag.Engine, p, n int, cells map[tune.Key]*tune.Cell) (Table, error) {
 	rep := Table{
-		ID:    fmt.Sprintf("tune-%s-p%d-n%d%s", eng, p, n, map[bool]string{true: "-pipe"}[piped]),
-		Title: fmt.Sprintf("Crossover sweep (engine=%s p=%d N=%d%s, best of %d)", eng, p, n, mode, g.BestOf),
+		ID:    fmt.Sprintf("tune-%s-p%d-n%d", eng, p, n),
+		Title: fmt.Sprintf("Crossover sweep (engine=%s p=%d N=%d, best of %d)", eng, p, n, g.BestOf),
 		YUnit: "latency (us)",
 		Notes: []string{"wall clock on this host; winner is the argmin per size"},
 	}
@@ -118,12 +106,8 @@ func sweepConfig(g TuneGrid, eng encag.Engine, piped bool, p, n int, cells map[t
 	}
 	rep.Headers = append(rep.Headers, "winner")
 
-	opts := []encag.Option{encag.WithEngine(eng)}
-	if piped {
-		opts = append(opts, encag.WithPipelining(true))
-	}
 	spec := encag.Spec{Procs: p, Nodes: n}
-	s, err := encag.OpenSession(context.Background(), spec, opts...)
+	s, err := encag.OpenSession(context.Background(), spec, encag.WithEngine(eng))
 	if err != nil {
 		return Table{}, fmt.Errorf("tune sweep %s p=%d n=%d: %w", eng, p, n, err)
 	}
@@ -141,7 +125,7 @@ func sweepConfig(g TuneGrid, eng encag.Engine, piped bool, p, n int, cells map[t
 			if ns < winnerNS {
 				winnerNS, winner = ns, string(alg)
 			}
-			key := tune.Key{Bucket: tune.BucketOf(m), P: p, N: n, Engine: string(eng), Pipelined: piped}
+			key := tune.Key{Bucket: tune.BucketOf(m), P: p, N: n, Engine: string(eng)}
 			c := cells[key]
 			if c == nil {
 				c = &tune.Cell{Key: key, LatencyNS: make(map[string]float64)}

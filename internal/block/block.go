@@ -45,21 +45,6 @@ type Chunk struct {
 	// move compound contributions (e.g. the leader all-gather inside the
 	// HS algorithms) use it to regroup chunks per member.
 	Tag int
-
-	// Stream, when non-nil on an Enc chunk, carries a pending
-	// (lazily sealed) segmented payload: Payload is nil and the
-	// transport seals and sends segments one at a time. It is sender-
-	// local, engine-internal state and never crosses the wire or
-	// reaches a collective's final result (Normalize rejects Enc
-	// chunks there).
-	Stream *seal.SealStream
-
-	// Opened, when non-nil on an Enc chunk, holds the plaintext the
-	// transport already authenticated and decrypted segment-by-segment
-	// on arrival; Payload still holds the assembled blob. Receiver-
-	// local, engine-internal state: Decrypt consumes it without a
-	// second GCM pass.
-	Opened []byte
 }
 
 // PlainLen returns the total plaintext bytes covered by the chunk.
@@ -87,8 +72,7 @@ func (c Chunk) Real() bool { return c.Payload != nil }
 // Clone returns a deep copy of the chunk (payload shared: payloads are
 // immutable by convention).
 func (c Chunk) Clone() Chunk {
-	return Chunk{Enc: c.Enc, Blocks: append([]Block(nil), c.Blocks...), Payload: c.Payload, Tag: c.Tag,
-		Stream: c.Stream, Opened: c.Opened}
+	return Chunk{Enc: c.Enc, Blocks: append([]Block(nil), c.Blocks...), Payload: c.Payload, Tag: c.Tag}
 }
 
 // Message is an ordered list of chunks.

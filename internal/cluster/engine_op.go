@@ -9,7 +9,6 @@ import (
 	"encag/internal/block"
 	"encag/internal/fault"
 	"encag/internal/seal"
-	"encag/internal/wire"
 )
 
 // Algorithm is an all-gather implementation: given a rank handle and the
@@ -57,10 +56,9 @@ func (a *SecurityAudit) Clean() bool {
 // envelope is one delivered message in a rank's inbox. seq is the
 // message's delivery-order number within its (operation, src->dst)
 // pair, reserved at delivery (TCP: frame admission; chan: the send
-// scheduler's hand-over). Pipelined messages reserve their number when
-// their first sub-frame lands but push only once every chunk has
-// assembled, so recvFrom consumes each pair's messages in reserved
-// order and an asynchronously completing message is never overtaken.
+// scheduler's hand-over, also for a message the fault plan drops), so
+// recvFrom consumes each pair's messages in reserved order and a lost
+// message starves its own receive instead of yielding the next one.
 type envelope struct {
 	src int
 	seq uint64
@@ -86,7 +84,6 @@ type opEngine struct {
 	slr       *seal.Sealer
 	mesh      *mesh
 	id        uint32
-	pipe      *pipeCfg // nil: pipelining off (or an adversary taps messages)
 	adversary Adversary
 	inj       *fault.Injector
 	recvTO    time.Duration
@@ -101,31 +98,19 @@ type opEngine struct {
 	fails     failState
 	aborted   chan struct{} // closed when any rank fails: unblocks peers
 	abortOnce sync.Once
-
-	// streams tracks this operation's in-flight pipelined messages on
-	// the receive side; streamSeq allocates sender-side stream ids;
-	// openWin is the op-wide budget of concurrently-opening segments
-	// shared by all of the op's per-chunk receive streams;
-	// arrSeq[src*P+dst] numbers deliveries per directed pair so that a
-	// pipelined message — which completes asynchronously, once every
-	// chunk has assembled — keeps its place in the pair's arrival order.
-	streams   streamTable
-	streamSeq atomic.Uint32
-	openWin   *openWindow
-	arrSeq    []atomic.Uint64
+	arrSeq    []atomic.Uint64 // [src*P+dst] next delivery seq to reserve
 }
 
 // newOp builds the engine for one collective — over a (possibly
 // session-shared) sealer — and registers it as a live operation, making
 // its op-id routable by the mesh.
-func (m *mesh) newOp(id uint32, slr *seal.Sealer, adv Adversary, inj *fault.Injector, recvTO time.Duration, tracer Tracer, pipe *pipeCfg) *opEngine {
+func (m *mesh) newOp(id uint32, slr *seal.Sealer, adv Adversary, inj *fault.Injector, recvTO time.Duration, tracer Tracer) *opEngine {
 	spec := m.spec
 	e := &opEngine{
 		spec:      spec,
 		slr:       slr,
 		mesh:      m,
 		id:        id,
-		pipe:      pipe,
 		adversary: adv,
 		inj:       inj,
 		recvTO:    recvTO,
@@ -139,11 +124,6 @@ func (m *mesh) newOp(id uint32, slr *seal.Sealer, adv Adversary, inj *fault.Inje
 		aborted:   make(chan struct{}),
 		arrSeq:    make([]atomic.Uint64, spec.P*spec.P),
 	}
-	window := DefaultSegmentWindow
-	if pipe != nil {
-		window = pipe.window
-	}
-	e.openWin = newOpenWindow(window)
 	for r := 0; r < spec.P; r++ {
 		e.inboxes[r] = &opInbox{sig: make(chan struct{}, 1)}
 		e.pend[r] = make([]map[uint64]block.Message, spec.P)
@@ -269,10 +249,7 @@ func (recvReq) isRequest() {}
 // immediately — sends of concurrent operations interleave fairly on the
 // shared links, and a blocked link never stalls the rank goroutine. The
 // scheduler applies this operation's fault verdicts in the rank's
-// program order per pair, keeping plans deterministic. A message with
-// at least one sealed chunk that qualifies for pipelining is enqueued
-// as a per-message stream plan; anything else is materialized and
-// travels whole.
+// program order per pair, keeping plans deterministic.
 func (e *opEngine) isend(p *Proc, dst int, msg block.Message) Request {
 	e.audit.record(e.spec, p.rank, dst, msg)
 	if e.adversary != nil && !e.spec.SameNode(p.rank, dst) {
@@ -281,16 +258,7 @@ func (e *opEngine) isend(p *Proc, dst int, msg block.Message) Request {
 	if e.isAborted() {
 		panic(errRunAborted)
 	}
-	job := sendJob{op: e, dst: dst}
-	if job.plan = e.pipe.streamsForSend(msg); job.plan != nil {
-		job.sid = e.streamSeq.Add(1)
-	} else {
-		var err error
-		if job.msg, err = materializeMessage(msg); err != nil {
-			e.fail(&RankError{Rank: p.rank, Peer: dst, Op: "seal", Err: err})
-		}
-	}
-	e.mesh.sendQ[p.rank].Push(e.id, job)
+	e.mesh.sendQ[p.rank].Push(e.id, sendJob{op: e, dst: dst, msg: msg})
 	return sendReq{}
 }
 
@@ -320,12 +288,9 @@ func (e *opEngine) wait(p *Proc, reqs []Request) []block.Message {
 // recvFrom returns the next message from src to rank, buffering messages
 // from other sources (or later deliveries from src) that arrive in
 // between. Deliveries of each directed pair are consumed strictly in
-// their reserved order: a pipelined message completes asynchronously,
-// so a later whole message can land in the inbox first — it is stashed
-// until the pipelined message's slot is filled. The wait is bounded by
-// the recv deadline: a message that never arrives (lost to a fault,
-// peer death) surfaces as a structured recv error instead of a
-// deadlock.
+// their reserved order. The wait is bounded by the recv deadline: a
+// message that never arrives (lost to a fault, peer death) surfaces as
+// a structured recv error instead of a deadlock.
 func (e *opEngine) recvFrom(rank, src int) block.Message {
 	pend := e.pend[rank]
 	next := e.next[rank]
@@ -361,67 +326,11 @@ func (e *opEngine) recvFrom(rank, src int) block.Message {
 	}
 }
 
-// newMsgRecv sets up the receive side of an incoming pipelined message
-// from its first sub-frame's message metadata: the chunk assembly
-// slots, the delivery-order slot the finished message will occupy, and
-// the completion/failure hooks. The message delivers into the
-// operation's inbox only when every chunk has assembled; one bad chunk
-// fails the operation closed and the mesh lives on.
-func (e *opEngine) newMsgRecv(src, dst int, key streamKey, total int) *msgRecv {
-	// Reserve the delivery slot now: later whole messages from the same
-	// sender take later numbers, so the asynchronously completing
-	// message cannot be overtaken in the receiver's arrival order.
-	seq := e.nextEnvSeq(src, dst)
-	mr := newMsgRecv(total,
-		func(msg block.Message) {
-			e.streams.drop(key)
-			e.inboxes[dst].push(envelope{src: src, seq: seq, msg: msg})
-		},
-		func(err error) {
-			e.streams.drop(key)
-			e.failAsync(&RankError{Rank: dst, Peer: src, Op: "open", Err: err})
-		})
-	e.streams.put(key, mr)
-	return mr
-}
-
-// newChunkStream sets up one per-chunk receive stream of a pipelined
-// message from the chunk's first sub-frame metadata: the open stream
-// (blob and plaintext allocated once), drawing on the operation's
-// shared open window, delivering the assembled chunk into its message
-// slot. An authentication failure on any segment fails the whole
-// message — and so the operation — exactly once.
-func (e *opEngine) newChunkStream(mr *msgRecv, sf wire.SegFrame) (*streamRecv, error) {
-	if len(sf.Meta.Header) == 0 {
-		return nil, fmt.Errorf("stream %d chunk %d metadata carries no seal header", sf.Stream, sf.Chunk)
-	}
-	os, err := e.slr.NewOpenStream(sf.Meta.Header, e.aad(block.EncodeHeader(sf.Meta.Blocks)))
-	if err != nil {
-		return nil, err
-	}
-	if os.K() != int(sf.Count) {
-		return nil, fmt.Errorf("stream %d chunk %d header declares %d segments, sub-frame says %d",
-			sf.Stream, sf.Chunk, os.K(), sf.Count)
-	}
-	ci := sf.Chunk
-	sr := newStreamRecv(os, sf.Meta.Blocks, sf.Meta.Tag, e.openWin, e.mesh.lm,
-		func(c block.Chunk) { mr.setChunk(ci, c) },
-		func(err error) { mr.failOnce(err) })
-	if !mr.addStream(ci, sr) {
-		return nil, fmt.Errorf("stream %d chunk %d duplicated or out of range", sf.Stream, sf.Chunk)
-	}
-	return sr, nil
-}
-
 func (e *opEngine) span(p *Proc, kind TraceKind, n int64) func() {
 	return e.wt.span(p.rank, kind, n)
 }
 
 func (e *opEngine) shmPut(p *Proc, key string, msg block.Message) {
-	msg, err := materializeMessage(msg)
-	if err != nil {
-		e.fail(&RankError{Rank: p.rank, Peer: -1, Op: "seal", Err: err})
-	}
 	e.shmMu.Lock()
 	e.shm[p.Node()][key] = msg
 	e.shmMu.Unlock()
@@ -445,8 +354,6 @@ func (e *opEngine) nodeBarrier(p *Proc) {
 }
 
 func (e *opEngine) sealer() *seal.Sealer { return e.slr }
-
-func (e *opEngine) pipeline() *pipeCfg { return e.pipe }
 
 // aad binds this operation's id into the AEAD associated data (see
 // appendOpID): concurrent operations share the session key, so the id

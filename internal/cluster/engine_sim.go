@@ -219,10 +219,6 @@ func (e *simEngine) nodeBarrier(p *Proc) {
 
 func (e *simEngine) sealer() *seal.Sealer { return nil }
 
-// pipeline is always nil in sim mode: there are no real bytes to
-// stream, so the model keeps whole-message sends.
-func (e *simEngine) pipeline() *pipeCfg { return nil }
-
 // aad returns the header unchanged: the sim models crypto cost without
 // real keys, so there is no cross-operation authentication to bind.
 func (e *simEngine) aad(h []byte) []byte { return h }

@@ -397,36 +397,20 @@ func (l *tcpLink) gateDesync() error {
 	return nil
 }
 
-// send writes one op-id-stamped whole-message frame.
+// send writes one op-id-stamped whole-message frame on the src->dst
+// connection: it assigns the pair's next sequence number, arms the
+// operation's fault injector on the connection and writes the frame,
+// recovering from transient failures (injected drops, partial writes,
+// connection resets) by reconnecting — fresh dial plus hello
+// re-handshake — under exponential backoff. Resending the whole frame
+// on a fresh connection is safe: the receiver's sequence gate drops
+// duplicates, a partial frame on the abandoned connection never parses,
+// and AES-GCM binds every ciphertext to its block header and op-id, so
+// replays, splices and cross-operation deliveries fail closed rather
+// than deliver wrong bytes. A send that exhausts the retries fails the
+// op when its own fault plan caused it, and the whole mesh on organic
+// transport death; send reports whether the frame went out.
 func (l *tcpLink) send(e *opEngine, src, dst int, msg block.Message) bool {
-	return l.write(e, src, dst, func(w io.Writer, fw *wire.FrameWriter, seq uint64) error {
-		return fw.WriteMsg(w, src, e.id, seq, msg)
-	})
-}
-
-// sendSeg writes one op-id-stamped segment sub-frame of a pipelined
-// message: every sub-frame takes its own sequence number and rides the
-// same reconnect-and-resend recovery as whole-message frames.
-func (l *tcpLink) sendSeg(e *opEngine, src, dst int, sf wire.SegFrame) bool {
-	return l.write(e, src, dst, func(w io.Writer, fw *wire.FrameWriter, seq uint64) error {
-		return fw.WriteSeg(w, src, e.id, seq, sf)
-	})
-}
-
-// write sends one frame on the src->dst connection: it assigns the
-// pair's next sequence number, arms the operation's fault injector on
-// the connection and writes the frame, recovering from transient
-// failures (injected drops, partial writes, connection resets) by
-// reconnecting — fresh dial plus hello re-handshake — under exponential
-// backoff. Resending the whole frame on a fresh connection is safe: the
-// receiver's sequence gate drops duplicates, a partial frame on the
-// abandoned connection never parses, and AES-GCM binds every ciphertext
-// to its block header and op-id, so replays, splices and
-// cross-operation deliveries fail closed rather than deliver wrong
-// bytes. A send that exhausts the retries fails the op when its own
-// fault plan caused it, and the whole mesh on organic transport death;
-// write reports whether the frame went out.
-func (l *tcpLink) write(e *opEngine, src, dst int, frame func(io.Writer, *wire.FrameWriter, uint64) error) bool {
 	pc := l.conns[src][dst]
 	pc.inj.Store(e.inj)
 	seq := pc.seq.Add(1) - 1
@@ -455,7 +439,7 @@ func (l *tcpLink) write(e *opEngine, src, dst int, frame func(io.Writer, *wire.F
 				continue
 			}
 		}
-		if err = frame(conn, pc.fw, seq); err != nil {
+		if err = pc.fw.WriteMsg(conn, src, e.id, seq, msg); err != nil {
 			conn.Close()
 			continue
 		}
@@ -479,7 +463,7 @@ func (l *tcpLink) write(e *opEngine, src, dst int, frame func(io.Writer, *wire.F
 // readTracker is one accepted connection's read side. The frame decoder
 // reads through br, a buffered reader over the connection, so a small
 // frame costs one or two socket reads instead of one per field; a large
-// segment payload still lands straight in its slot, since bufio reads a
+// chunk payload still lands straight in its buffer, since bufio reads a
 // request larger than its buffer directly into the caller's slice once
 // the buffered bytes are drained.
 //
@@ -616,7 +600,6 @@ func (l *tcpLink) serveConn(src, dst int, conn net.Conn, prev, done chan struct{
 		l.trackMu.Unlock()
 	}()
 	gate := l.gates[dst][src]
-	body := &segReader{tc: tc}
 	for {
 		tc.frameStart()
 		fr, err := wire.ReadFrameStart(tc.br)
@@ -629,24 +612,6 @@ func (l *tcpLink) serveConn(src, dst int, conn net.Conn, prev, done chan struct{
 		if fr.Src != src {
 			m.fail(fmt.Errorf("frame on the %d->%d stream claims src %d", src, dst, fr.Src))
 			return
-		}
-		if fr.Kind == wire.FrameSeg {
-			// Segment sub-frame: the payload is still on the stream, to
-			// be read straight into the receive stream's segment slot.
-			body.n = fr.Seg.PayloadLen
-			if gate.admit(fr.Seq) {
-				err = m.recvSeg(src, dst, fr.Op, fr.Seg, body)
-			} else {
-				m.lm.dedupDrops.Inc()
-				err = body.discard()
-			}
-			if err != nil {
-				if !connDied(err) {
-					m.fail(fmt.Errorf("frame stream %d->%d corrupted: %v", src, dst, err))
-				}
-				return
-			}
-			continue
 		}
 		tc.frameDone()
 		if !gate.admit(fr.Seq) {
@@ -661,34 +626,4 @@ func (l *tcpLink) serveConn(src, dst int, conn net.Conn, prev, done chan struct{
 		e.inj.Sleep(e.inj.ReadDelay(src, dst))
 		e.deliver(src, dst, fr.Msg)
 	}
-}
-
-// segReader is a TCP sub-frame's payload, still on the connection: n
-// bytes the reader lands in place, or skips in the buffered reader, so
-// discarded duplicates and stragglers allocate nothing. Receive-side
-// fault delays are charged once the payload has landed, out of the
-// owning operation's injector.
-type segReader struct {
-	tc *readTracker
-	n  int
-}
-
-func (b *segReader) fill(e *opEngine, p []byte) error {
-	if _, err := io.ReadFull(b.tc.br, p); err != nil {
-		return err
-	}
-	b.tc.frameDone()
-	e.inj.Sleep(e.inj.ReadDelay(b.tc.src, b.tc.dst))
-	return nil
-}
-
-func (b *segReader) take(e *opEngine) ([]byte, error) {
-	p := make([]byte, b.n)
-	return p, b.fill(e, p)
-}
-
-func (b *segReader) discard() error {
-	_, err := b.tc.br.Discard(b.n)
-	b.tc.frameDone()
-	return err
 }

@@ -36,16 +36,6 @@ const (
 	MetricFramesRecv     = "encag_transport_frames_recv_total"
 	MetricBytesSent      = "encag_transport_bytes_sent_total"
 	MetricBytesRecv      = "encag_transport_bytes_recv_total"
-
-	MetricPipeStreams        = "encag_pipeline_streams_total"
-	MetricPipeMsgs           = "encag_pipeline_msg_streams_total"
-	MetricPipeInlineChunks   = "encag_pipeline_inline_chunks_total"
-	MetricPipeSegmentsSent   = "encag_pipeline_segments_sent_total"
-	MetricPipeSegmentsRecv   = "encag_pipeline_segments_recv_total"
-	MetricPipeInlineOpens    = "encag_pipeline_inline_opens_total"
-	MetricPipePendingOpens   = "encag_pipeline_pending_opens"
-	MetricPipeWindow         = "encag_pipeline_segment_window"
-	MetricPipeStreamSegments = "encag_pipeline_stream_segments"
 )
 
 // faultKinds spans the fault.Kind enum for the per-kind counters.
@@ -86,16 +76,6 @@ type liveMetrics struct {
 	framesRecv      [][]*metrics.Counter
 	bytesSent       [][]*metrics.Counter
 	bytesRecv       [][]*metrics.Counter
-
-	pipeStreams        *metrics.Counter
-	pipeMsgs           *metrics.Counter
-	pipeInlineChunks   *metrics.Counter
-	pipeSegmentsSent   *metrics.Counter
-	pipeSegmentsRecv   *metrics.Counter
-	pipeInlineOpens    *metrics.Counter
-	pipePendingOpens   *metrics.Gauge
-	pipeWindow         *metrics.Gauge
-	pipeStreamSegments *metrics.Histogram
 }
 
 // newLiveMetrics registers the session's static families on reg and
@@ -125,16 +105,6 @@ func newLiveMetrics(reg *metrics.Registry, spec Spec, kind EngineKind) *liveMetr
 	lm.dedupDrops = reg.Counter(MetricDedupDrops, "Duplicate frames dropped by the sequence gates.")
 	lm.recvTimeouts = reg.Counter(MetricRecvTimeouts, "Receives that hit the per-wait deadline.")
 	lm.stragglers = reg.Counter(MetricStragglers, "Frames of retired operations dropped by the demux.")
-
-	lm.pipeStreams = reg.Counter(MetricPipeStreams, "Per-chunk segment streams started by the pipelined send path.")
-	lm.pipeMsgs = reg.Counter(MetricPipeMsgs, "Pipelined messages sent (each interleaving its per-chunk streams and inline chunks).")
-	lm.pipeInlineChunks = reg.Counter(MetricPipeInlineChunks, "Chunks shipped whole inside pipelined messages (too small to stream).")
-	lm.pipeSegmentsSent = reg.Counter(MetricPipeSegmentsSent, "Sealed segments put on the wire by pipelined sends.")
-	lm.pipeSegmentsRecv = reg.Counter(MetricPipeSegmentsRecv, "Sealed segments delivered into receive streams.")
-	lm.pipeInlineOpens = reg.Counter(MetricPipeInlineOpens, "Segment opens forced inline by a full segment window (backpressure).")
-	lm.pipePendingOpens = reg.Gauge(MetricPipePendingOpens, "Segment opens currently in flight inside receive windows.")
-	lm.pipeWindow = reg.Gauge(MetricPipeWindow, "Configured per-stream in-flight segment window (0: pipelining off).")
-	lm.pipeStreamSegments = reg.Histogram(MetricPipeStreamSegments, "Segments per completed receive stream.")
 
 	// Each transport family holds an unlabelled total plus one series
 	// per directed rank pair (nil on the diagonal).
@@ -230,24 +200,6 @@ type SessionSnapshot struct {
 	BytesSent  int64
 	BytesRecv  int64
 
-	// Pipeline* fields describe intra-collective segment streaming
-	// (zero everywhere when pipelining is off). PipelineMsgs counts
-	// pipelined messages; PipelineStreams counts their per-chunk
-	// segment streams, so Streams > Msgs implies multi-chunk messages
-	// streamed; PipelineInlineChunks counts the chunks shipped whole
-	// inside pipelined messages.
-	PipelineStreams      int64
-	PipelineMsgs         int64
-	PipelineInlineChunks int64
-	PipelineSegmentsSent int64
-	PipelineSegmentsRecv int64
-	PipelineInlineOpens  int64
-	PipelineWindow       int
-
-	// PipelineStreamSegments distributes segments per completed
-	// receive stream.
-	PipelineStreamSegments metrics.HistSnapshot
-
 	Window         int
 	WindowInFlight int
 	WindowWaits    int64
@@ -301,14 +253,6 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.FramesRecv = lm.framesRecvTotal.Value()
 	snap.BytesSent = lm.bytesSentTotal.Value()
 	snap.BytesRecv = lm.bytesRecvTotal.Value()
-	snap.PipelineStreams = lm.pipeStreams.Value()
-	snap.PipelineMsgs = lm.pipeMsgs.Value()
-	snap.PipelineInlineChunks = lm.pipeInlineChunks.Value()
-	snap.PipelineSegmentsSent = lm.pipeSegmentsSent.Value()
-	snap.PipelineSegmentsRecv = lm.pipeSegmentsRecv.Value()
-	snap.PipelineInlineOpens = lm.pipeInlineOpens.Value()
-	snap.PipelineWindow = int(lm.pipeWindow.Value())
-	snap.PipelineStreamSegments = lm.pipeStreamSegments.Snapshot()
 	if s.sniffer != nil {
 		snap.WireBytes = s.sniffer.Total()
 	}

@@ -31,14 +31,6 @@ type engine interface {
 
 	sealer() *seal.Sealer // nil in sim mode
 
-	// pipeline returns the engine's intra-collective pipelining
-	// configuration, or nil when segment streaming is off (sim engine,
-	// pipelining not enabled, or an adversary tap needs whole
-	// messages). Every qualifying sealed chunk of a message streams —
-	// multi-chunk hierarchical sends included — with the rest riding
-	// inline in the same envelope sequence.
-	pipeline() *pipeCfg
-
 	// aad derives the AEAD associated data from the encoded block
 	// header. The op engine appends the operation id so that
 	// ciphertexts of concurrent operations sharing one session key
@@ -247,20 +239,7 @@ func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
 	done := p.eng.span(p, TraceEncrypt, plainLen)
 	out := block.Chunk{Enc: true, Blocks: blocks}
 	if s := p.eng.sealer(); s != nil {
-		aad := p.eng.aad(block.EncodeHeader(blocks))
-		if pc := p.eng.pipeline(); pc != nil && plainLen >= pc.minStream {
-			if st := s.NewSealStream(payloadSlices(chunks), aad); st != nil {
-				// Pipelined: sealing is deferred — the transport seals
-				// each segment right before putting it on the wire, so
-				// the encrypt span closes immediately and the crypto
-				// cost shows up overlapped with transport.
-				p.met.EncSegments += st.K()
-				out.Stream = st
-				done()
-				return out
-			}
-		}
-		blob, segs, err := s.SealSegmented(payloadSlices(chunks), aad)
+		blob, segs, err := s.SealSegmented(payloadSlices(chunks), p.eng.aad(block.EncodeHeader(blocks)))
 		if err != nil {
 			panic(&RankError{Rank: p.rank, Peer: -1, Op: "seal", Err: err})
 		}
@@ -285,31 +264,10 @@ func (p *Proc) Decrypt(c block.Chunk) block.Chunk {
 	done := p.eng.span(p, TraceDecrypt, n)
 	out := block.Chunk{Blocks: append([]block.Block(nil), c.Blocks...)}
 	if s := p.eng.sealer(); s != nil {
-		if c.Opened != nil {
-			// The transport already authenticated and decrypted this
-			// chunk segment-by-segment as it landed, under the identical
-			// per-segment AAD construction; a second GCM pass would only
-			// re-verify bytes that cannot have changed since. The
-			// decrypt round is still charged here — the work simply
-			// happened overlapped with transport.
-			p.met.DecSegments += seal.BlobSegments(c.Payload)
-			out.Payload = c.Opened
-			done()
-			return out
-		}
-		payload := c.Payload
-		if c.Stream != nil {
-			// A lazily-sealed chunk being decrypted locally (never
-			// shipped): force the seal, then open normally.
-			var err error
-			if payload, err = c.Stream.Blob(); err != nil {
-				panic(&RankError{Rank: p.rank, Peer: -1, Op: "seal", Err: err})
-			}
-		}
-		if payload == nil {
+		if c.Payload == nil {
 			panic("cluster: real-mode Decrypt given a chunk without payload")
 		}
-		pt, segs, err := s.OpenSegmented(payload, p.eng.aad(block.EncodeHeader(c.Blocks)))
+		pt, segs, err := s.OpenSegmented(c.Payload, p.eng.aad(block.EncodeHeader(c.Blocks)))
 		if err != nil {
 			// Structured: the run reports this rank and the failing open
 			// (tampered or spliced ciphertext) as the root cause.

@@ -75,28 +75,6 @@ type SessionConfig struct {
 	// (every replacement sealer is pointed at it), and is never closed
 	// by the session: its owner outlives every tenant.
 	CryptoPool *seal.Pool
-	// Pipeline configures intra-collective pipelining: streaming a
-	// chunk's sealed segments onto the wire as they seal and opening
-	// them as they land, overlapping crypto with transport inside one
-	// operation. Ignored by EngineSim, and disabled on sessions with an
-	// Adversary (the tap needs whole messages).
-	Pipeline PipelineConfig
-}
-
-// PipelineConfig selects intra-collective pipelining for a session's
-// chan and tcp engines.
-type PipelineConfig struct {
-	// Enabled turns segment streaming on.
-	Enabled bool
-	// SegmentWindow bounds how many segments of one receive stream may
-	// be authenticating/decrypting concurrently; arrivals beyond it are
-	// opened inline on the transport goroutine, backpressuring the
-	// sender. Zero means DefaultSegmentWindow.
-	SegmentWindow int
-	// MinStreamBytes is the smallest chunk plaintext worth streaming;
-	// smaller chunks travel as whole-message frames. Zero means the
-	// built-in default (16 KiB).
-	MinStreamBytes int64
 }
 
 // Op describes one collective executed on an open Session. Exactly one
@@ -157,7 +135,6 @@ type Session struct {
 
 	opSeq atomic.Uint32 // op-id allocator; ids start at 1
 	lm    *liveMetrics
-	pipe  *pipeCfg // resolved pipelining config; nil when off
 
 	mu       sync.Mutex
 	closed   bool
@@ -197,15 +174,6 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	s.slr = slr
-	s.pipe = resolvePipe(cfg.Pipeline)
-	if cfg.Adversary != nil {
-		// The adversary taps whole inter-node messages; streaming would
-		// route segments around it, so pipelining yields to the tap.
-		s.pipe = nil
-	}
-	if s.pipe != nil {
-		s.lm.pipeWindow.Set(int64(s.pipe.window))
-	}
 	attach := attachChanLink
 	if cfg.Engine == EngineTCP {
 		attach = attachTCPLink
@@ -476,7 +444,7 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	inj := fault.NewInjector(plan)
 	inj.SetObserver(s.lm.observeFault)
 
-	e := s.mesh.newOp(id, slr, s.cfg.Adversary, inj, s.recvTO, tracer, s.pipe)
+	e := s.mesh.newOp(id, slr, s.cfg.Adversary, inj, s.recvTO, tracer)
 	defer s.mesh.reg.deregister(id)
 
 	res := &RealResult{

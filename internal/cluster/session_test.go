@@ -293,7 +293,7 @@ func TestOpRegisteredAfterCloseIsAborted(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Close()
-		e := s.mesh.newOp(1, s.slr, nil, nil, time.Second, nil, nil)
+		e := s.mesh.newOp(1, s.slr, nil, nil, time.Second, nil)
 		if !e.isAborted() {
 			t.Fatalf("%v: operation registered after Close is not aborted", kind)
 		}
@@ -304,8 +304,7 @@ func TestOpRegisteredAfterCloseIsAborted(t *testing.T) {
 }
 
 // The adversary taps inter-node messages on either link: a byte it
-// flips in a ciphertext fails authentication at the receiver, and the
-// tap turns pipelining off (it needs whole messages to inspect).
+// flips in a ciphertext fails authentication at the receiver.
 func TestAdversaryTapsBothLinks(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
 	for _, kind := range []EngineKind{EngineChan, EngineTCP} {
@@ -321,12 +320,11 @@ func TestAdversaryTapsBothLinks(t *testing.T) {
 			}
 			return out
 		}
-		s, err := OpenSession(spec, SessionConfig{Engine: kind, Adversary: adv, Pipeline: PipelineConfig{Enabled: true}})
+		s, err := OpenSession(spec, SessionConfig{Engine: kind, Adversary: adv})
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = s.Collective(context.Background(), Op{Algo: encRing, MsgSize: 256})
-		snap := s.Snapshot()
 		s.Close()
 		var re *RankError
 		if !errors.As(err, &re) || re.Op != "open" {
@@ -334,9 +332,6 @@ func TestAdversaryTapsBothLinks(t *testing.T) {
 		}
 		if tapped.Load() == 0 {
 			t.Fatalf("%v: adversary saw no ciphertext", kind)
-		}
-		if snap.PipelineWindow != 0 || snap.PipelineMsgs != 0 {
-			t.Fatalf("%v: pipelining stayed on under an adversary: %+v", kind, snap)
 		}
 	}
 }

@@ -40,14 +40,6 @@ const (
 	// segSizeQuantum rounds adaptive segment sizes so slots stay
 	// cache-line and page friendly.
 	segSizeQuantum = 4 << 10
-	// MinStreamSegment floors the streaming split size: segments this
-	// small amortize their 32 B framing overhead to 0.4% and match the
-	// libhear pipelining block size.
-	MinStreamSegment = 8 << 10
-	// streamTargetSegments is how many segments the streaming plan aims
-	// for: enough sub-frames to overlap crypto with transport, few
-	// enough that per-segment framing stays negligible.
-	streamTargetSegments = 8
 )
 
 // SetSegmentSize configures the segmented-seal split size in bytes;
@@ -151,25 +143,6 @@ func (s *Sealer) layout(total int64) segLayout {
 		if k := SegmentCount(total, int(size)); k > maxK {
 			size = roundUpQuantum((total + int64(maxK) - 1) / int64(maxK))
 		}
-	}
-	k := SegmentCount(total, int(size))
-	return segLayout{total: total, segSize: size, k: k, hdrLen: segHeaderFixed + 4*k}
-}
-
-// streamLayout is the segment plan for pipelined (streaming) sealing:
-// it targets streamTargetSegments sub-frames so the transport has
-// enough pieces to overlap with, clamped to [MinStreamSegment,
-// DefaultSegmentSize]. An explicitly configured segment size wins.
-func (s *Sealer) streamLayout(total int64) segLayout {
-	if s.segSize > 0 {
-		return s.layout(total)
-	}
-	size := roundUpQuantum((total + streamTargetSegments - 1) / streamTargetSegments)
-	if size < MinStreamSegment {
-		size = MinStreamSegment
-	}
-	if size > DefaultSegmentSize {
-		size = DefaultSegmentSize
 	}
 	k := SegmentCount(total, int(size))
 	return segLayout{total: total, segSize: size, k: k, hdrLen: segHeaderFixed + 4*k}
@@ -327,27 +300,6 @@ func writeSegHeader(out []byte, l segLayout) {
 	for i := 0; i < l.k; i++ {
 		binary.BigEndian.PutUint32(out[segHeaderFixed+4*i:], uint32(l.plainLen(i)))
 	}
-}
-
-// CheckSegmented validates a segmented blob's framing — magic, count,
-// and per-segment lengths against the blob's actual size — without
-// touching the cryptography. Transports use it to reject a malformed
-// chunk at arrival as an operation-scoped failure instead of carrying
-// it to a decrypt that was always going to fail. Nothing about the
-// blob is authenticated; a well-framed forgery still dies in GCM.
-func CheckSegmented(blob []byte) error {
-	_, _, _, err := parseSegmented(blob)
-	return err
-}
-
-// BlobSegments reports how many segments a segmented blob declares, or
-// 0 if blob does not carry the segmented framing. It is a framing peek
-// only — nothing about the blob is authenticated.
-func BlobSegments(blob []byte) int {
-	if _, lens, _, err := parseSegmented(blob); err == nil {
-		return len(lens)
-	}
-	return 0
 }
 
 // OpenSegmented authenticates and decrypts a blob produced by

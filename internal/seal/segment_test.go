@@ -282,3 +282,37 @@ func TestSegmentedLenMatchesBlob(t *testing.T) {
 		}
 	}
 }
+
+// The adaptive bulk plan caps segment count by pool parallelism; an
+// explicit segment size is always honored exactly.
+func TestAdaptiveSegmentPlan(t *testing.T) {
+	s := newTestSealer(t)
+	s.SetWorkers(1)
+	pt := make([]byte, 2<<20)
+	blob, segs, err := s.SealSegmented([][]byte{pt}, nil)
+	if err != nil {
+		t.Fatalf("SealSegmented: %v", err)
+	}
+	if want := 2*1 + 2; segs > want {
+		t.Fatalf("adaptive plan produced %d segments on a 1-worker pool, want <= %d", segs, want)
+	}
+	if got, _, err := s.OpenSegmented(blob, nil); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("adaptive blob failed round trip: %v", err)
+	}
+
+	// Small payloads keep the default split untouched.
+	if _, segs, _ := s.SealSegmented([][]byte{make([]byte, 1<<10)}, nil); segs != 1 {
+		t.Fatalf("1KB payload split into %d segments", segs)
+	}
+
+	// Explicit configuration bypasses adaptivity entirely.
+	s.SetSegmentSize(64 << 10)
+	if _, segs, _ := s.SealSegmented([][]byte{pt}, nil); segs != 32 {
+		t.Fatalf("explicit 64KB plan produced %d segments, want 32", segs)
+	}
+	// And n <= 0 restores the adaptive default.
+	s.SetSegmentSize(0)
+	if _, segs, _ := s.SealSegmented([][]byte{pt}, nil); segs > 4 {
+		t.Fatalf("adaptive plan not restored: %d segments", segs)
+	}
+}

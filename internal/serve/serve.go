@@ -69,7 +69,7 @@ type Config struct {
 	// nodes.
 	Spec encag.Spec
 	// SessionOptions are applied to every tenant session (engine,
-	// pipelining, tracing...). The manager appends its shared
+	// tracing, fault plans...). The manager appends its shared
 	// WithCryptoPool last, so a pool option here is overridden.
 	SessionOptions []encag.Option
 

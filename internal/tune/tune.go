@@ -24,10 +24,9 @@ import (
 const Version = 1
 
 // Key identifies one tuning cell: a power-of-two message-size bucket on
-// a concrete cluster shape and execution mode. Engine and Pipelined are
-// hard constraints — a measurement taken on one engine or pipelining
-// mode never informs selection on another — while Bucket, P and N admit
-// nearest-key fallback.
+// a concrete cluster shape and engine. Engine is a hard constraint — a
+// measurement taken on one engine never informs selection on another —
+// while Bucket, P and N admit nearest-key fallback.
 type Key struct {
 	// Bucket is the size bucket, BucketOf(maxBlockSize).
 	Bucket int `json:"bucket"`
@@ -37,8 +36,6 @@ type Key struct {
 	// Engine is the engine name the cell was measured on ("chan",
 	// "tcp", "sim").
 	Engine string `json:"engine"`
-	// Pipelined records whether intra-collective pipelining was on.
-	Pipelined bool `json:"pipelined,omitempty"`
 }
 
 // BucketOf maps a message size in bytes to its power-of-two bucket:
@@ -115,6 +112,23 @@ func Parse(data []byte) (*Table, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	// Tables swept with intra-collective pipelining carry
+	// "pipelined": true cells. This build has no such mode, and decoding
+	// them would merge their numbers into the serial cell of the same
+	// key, so such a table is refused.
+	var modes struct {
+		Cells []struct {
+			Pipelined bool `json:"pipelined"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal(data, &modes); err != nil {
+		return nil, fmt.Errorf("tune: %w", err)
+	}
+	for i, c := range modes.Cells {
+		if c.Pipelined {
+			return nil, fmt.Errorf("tune: cell %d (%+v) was measured with pipelining, which is no longer supported", i, t.Cells[i].Key)
+		}
+	}
 	return &t, nil
 }
 
@@ -134,9 +148,6 @@ func (t *Table) Encode() ([]byte, error) {
 		a, b := t.Cells[i].Key, t.Cells[j].Key
 		if a.Engine != b.Engine {
 			return a.Engine < b.Engine
-		}
-		if a.Pipelined != b.Pipelined {
-			return !a.Pipelined
 		}
 		if a.P != b.P {
 			return a.P < b.P
@@ -159,19 +170,18 @@ func (t *Table) Lookup(k Key) *Cell {
 	return nil
 }
 
-// Nearest returns the closest cell to k, honoring Engine and Pipelined
-// as hard constraints: a cell on a different engine or pipelining mode
-// is never a fallback, however close its shape. Distance weighs cluster
-// shape (log-ratio of P and of N) heavier than the size bucket, since a
-// crossover measured on the wrong topology misleads more than one
-// measured a bucket away. Returns nil when no cell shares the
-// engine+pipelining mode.
+// Nearest returns the closest cell to k, honoring Engine as a hard
+// constraint: a cell on a different engine is never a fallback, however
+// close its shape. Distance weighs cluster shape (log-ratio of P and of
+// N) heavier than the size bucket, since a crossover measured on the
+// wrong topology misleads more than one measured a bucket away. Returns
+// nil when no cell shares the engine.
 func (t *Table) Nearest(k Key) *Cell {
 	var best *Cell
 	bestDist := math.Inf(1)
 	for i := range t.Cells {
 		c := &t.Cells[i]
-		if c.Engine != k.Engine || c.Pipelined != k.Pipelined {
+		if c.Engine != k.Engine {
 			continue
 		}
 		d := math.Abs(float64(c.Bucket-k.Bucket)) +
@@ -266,7 +276,7 @@ func (t *Tuner) Pick(k Key, m int64) string {
 	defer t.mu.Unlock()
 
 	// Start from the table's estimates: exact cell, else nearest cell
-	// sharing the hard engine+pipelining constraints.
+	// sharing the hard engine constraint.
 	var cell *Cell
 	if t.table != nil {
 		if cell = t.table.Lookup(k); cell == nil {

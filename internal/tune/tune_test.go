@@ -1,6 +1,8 @@
 package tune
 
 import (
+	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -67,10 +69,6 @@ func TestLookupAndNearest(t *testing.T) {
 	// Engine is a hard constraint: no sim cells exist, so no fallback.
 	if c := tab.Nearest(Key{Bucket: 10, P: 4, N: 2, Engine: "sim"}); c != nil {
 		t.Fatalf("engine constraint crossed: %+v", c)
-	}
-	// Pipelining is a hard constraint too.
-	if c := tab.Nearest(Key{Bucket: 10, P: 4, N: 2, Engine: "chan", Pipelined: true}); c != nil {
-		t.Fatalf("pipelining constraint crossed: %+v", c)
 	}
 	// Shape distance outweighs bucket distance: with cells at p=4 only,
 	// a p=64 query still picks a p=4 cell, preferring the closer bucket.
@@ -149,6 +147,30 @@ func TestParseRejectsBadTables(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// A serial table written before pipelining was removed (no "pipelined"
+// field) parses unchanged; a table with pipelined cells would merge
+// them into the serial keys, so it is rejected with the cell named.
+func TestParseRejectsPipelinedCells(t *testing.T) {
+	data, err := os.ReadFile("testdata/serial_table.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := Parse(data)
+	if err != nil {
+		t.Fatalf("serial table rejected: %v", err)
+	}
+	if c := tab.Lookup(Key{Bucket: 16, P: 4, N: 2, Engine: "chan"}); len(tab.Cells) != 2 || c == nil || c.Best != "hs2" {
+		t.Fatalf("serial table parsed as %+v", tab.Cells)
+	}
+	piped := []byte(`{"version":1,"cells":[
+		{"bucket":10,"p":4,"n":2,"engine":"chan","best":"hs2","latency_ns":{"hs2":100}},
+		{"bucket":10,"p":4,"n":2,"engine":"chan","pipelined":true,"best":"c-ring","latency_ns":{"c-ring":50}}]}`)
+	_, err = Parse(piped)
+	if err == nil || !strings.Contains(err.Error(), "cell 1 ") || !strings.Contains(err.Error(), "pipelining") {
+		t.Fatalf("pipelined cell: err = %v, want a rejection naming cell 1", err)
 	}
 }
 

@@ -143,6 +143,44 @@ func writeMsgBody(bw *bufio.Writer, src int, op uint32, seq uint64, msg block.Me
 	return nil
 }
 
+// FrameWriter writes frames through a reusable buffered writer, so a
+// long-lived link's steady-state sends allocate nothing (WriteFrame
+// allocates a fresh bufio.Writer per call). Not safe for concurrent
+// use: each sender goroutine owns its links' writer.
+type FrameWriter struct {
+	bw *bufio.Writer
+}
+
+// NewFrameWriter returns a writer with an empty reusable buffer.
+func NewFrameWriter() *FrameWriter {
+	return &FrameWriter{bw: bufio.NewWriter(io.Discard)}
+}
+
+// WriteMsg encodes and writes one message frame to w, reusing the
+// internal buffer. Semantics match WriteFrame.
+func (fw *FrameWriter) WriteMsg(w io.Writer, src int, op uint32, seq uint64, msg block.Message) error {
+	fw.bw.Reset(w)
+	if err := writeMsgBody(fw.bw, src, op, seq, msg); err != nil {
+		return err
+	}
+	return fw.bw.Flush()
+}
+
+// Frame is one decoded message frame.
+type Frame struct {
+	Src int
+	Op  uint32
+	Seq uint64
+	Msg block.Message
+}
+
+// ReadFrameStart reads one message frame into a Frame; it decodes
+// exactly what ReadFrame does. Any other magic is a format error.
+func ReadFrameStart(r io.Reader) (Frame, error) {
+	src, op, seq, msg, err := ReadFrame(r)
+	return Frame{Src: src, Op: op, Seq: seq, Msg: msg}, err
+}
+
 // ReadMessage reads and decodes one frame, discarding the sequence
 // number and operation id.
 func ReadMessage(r io.Reader) (src int, msg block.Message, err error) {

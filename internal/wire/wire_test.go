@@ -70,12 +70,29 @@ func TestHello(t *testing.T) {
 	}
 }
 
+// eagpSubFrame is a segment sub-frame as earlier revisions wrote them
+// for pipelined sends ("EAGP" magic, src 1, op 2, seq 3, first
+// segment of a two-segment chunk with message and chunk metadata).
+// The format is retired: a stream carrying one must fail closed.
+var eagpSubFrame = []byte{
+	0x45, 0x41, 0x47, 0x50, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
+	0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x02, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x14, 0x45, 0x41, 0x47, 0x31, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x10, 0x45, 0x41, 0x47, 0x53, 0x00, 0x00, 0x00,
+	0x02, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x0a, 0x73, 0x65, 0x61,
+	0x6c, 0x65, 0x64, 0x2d, 0x73, 0x65, 0x67,
+}
+
 func TestRejectsGarbage(t *testing.T) {
 	if _, _, err := ReadMessage(bytes.NewReader([]byte{0, 1, 2, 3})); err == nil {
 		t.Fatal("short frame accepted")
 	}
 	if _, _, err := ReadMessage(bytes.NewReader(make([]byte, 64))); err == nil {
 		t.Fatal("zero magic accepted")
+	}
+	if _, err := ReadFrameStart(bytes.NewReader(eagpSubFrame)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("retired segment sub-frame: err = %v, want ErrBadFrame", err)
 	}
 	// Absurd chunk count must be rejected before allocation. The count
 	// sits after magic (4), src (4), seq (8) and epoch (4).
@@ -206,6 +223,53 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _, _ = ReadMessage(bytes.NewReader(data))
+	})
+}
+
+// FrameWriter.WriteMsg is byte-compatible with the legacy WriteFrame.
+func TestFrameWriterMsgCompat(t *testing.T) {
+	msg := block.Message{Chunks: []block.Chunk{
+		{Enc: true, Tag: 5, Blocks: []block.Block{{Origin: 0, Len: 44}}, Payload: make([]byte, 72)},
+	}}
+	var legacy, reused bytes.Buffer
+	if err := WriteFrame(&legacy, 2, 11, 42, msg); err != nil {
+		t.Fatal(err)
+	}
+	fw := NewFrameWriter()
+	for i := 0; i < 3; i++ { // reuse across calls
+		reused.Reset()
+		if err := fw.WriteMsg(&reused, 2, 11, 42, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(legacy.Bytes(), reused.Bytes()) {
+		t.Fatal("FrameWriter.WriteMsg bytes differ from WriteFrame")
+	}
+	if src, op, seq, got, err := ReadFrame(&reused); err != nil || src != 2 || op != 11 || seq != 42 || len(got.Chunks) != 1 {
+		t.Fatalf("decode: src=%d op=%d seq=%d err=%v", src, op, seq, err)
+	}
+}
+
+// FuzzReadFrameStart: arbitrary bytes — including corrupted message
+// frames and the retired segment sub-frame — must never panic or
+// over-allocate.
+func FuzzReadFrameStart(f *testing.F) {
+	var msg bytes.Buffer
+	_ = NewFrameWriter().WriteMsg(&msg, 3, 9, 100, block.NewPlain(0, []byte("seed")))
+	f.Add(msg.Bytes())
+	f.Add([]byte{})
+	f.Add(eagpSubFrame)
+	// Bit flips across every message-frame header field: magic (3), src
+	// (7), seq (15), op (19), chunk count (22-23), flags (24), tag (28),
+	// block count (31-32), origin (36), block length (44), payload
+	// length (47-48).
+	for _, off := range []int{3, 7, 15, 19, 22, 23, 24, 28, 31, 32, 36, 44, 47, 48} {
+		flip := append([]byte(nil), msg.Bytes()...)
+		flip[off] ^= 0x40
+		f.Add(flip)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = ReadFrameStart(bytes.NewReader(data))
 	})
 }
 

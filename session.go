@@ -81,10 +81,6 @@ type sessionOptions struct {
 	maxSet      bool
 	debugAddr   string
 	debugSet    bool
-	pipelining  bool
-	pipeSet     bool
-	segWindow   int
-	segWinSet   bool
 	tuning      *tune.Table
 	tuningSet   bool
 	refine      bool
@@ -134,27 +130,6 @@ func WithMaxInFlight(n int) Option {
 	return func(o *sessionOptions) { o.maxInFlight, o.maxSet = n, true }
 }
 
-// WithPipelining toggles intra-collective pipelining on the chan and
-// tcp engines (session-level only; default off). When on, a large
-// encrypted send is split into independently sealed segments that go
-// onto the wire one at a time as they seal, and the receiver
-// authenticates each segment as it lands — overlapping AES-GCM work
-// with transport inside a single operation. Tampering with, reordering
-// or splicing any individual segment fails that operation closed, as
-// with whole-message sealing. Ignored by EngineSim.
-func WithPipelining(on bool) Option {
-	return func(o *sessionOptions) { o.pipelining, o.pipeSet = on, true }
-}
-
-// WithSegmentWindow bounds how many segments of one incoming pipelined
-// stream may be authenticating concurrently before further arrivals
-// are processed inline on the transport goroutine, backpressuring the
-// sender (session-level only; n <= 0 selects the default window).
-// Implies nothing unless WithPipelining(true) is also set.
-func WithSegmentWindow(n int) Option {
-	return func(o *sessionOptions) { o.segWindow, o.segWinSet = n, true }
-}
-
 // WithDebugServer starts an HTTP introspection server alongside the
 // session (session-level only), serving the session's live metrics in
 // Prometheus text format at /metrics, an expvar-style JSON dump at
@@ -190,12 +165,6 @@ func opLevel(opts []Option) (*sessionOptions, error) {
 	}
 	if o.debugSet {
 		return nil, errors.New("encag: WithDebugServer is a session-level option; pass it to OpenSession")
-	}
-	if o.pipeSet {
-		return nil, errors.New("encag: WithPipelining is a session-level option; pass it to OpenSession")
-	}
-	if o.segWinSet {
-		return nil, errors.New("encag: WithSegmentWindow is a session-level option; pass it to OpenSession")
 	}
 	if o.tuningSet {
 		return nil, errors.New("encag: WithTuningTable is a session-level option; pass it to OpenSession")
@@ -238,14 +207,13 @@ type Session struct {
 	dbg    *debugServer                 // nil unless WithDebugServer
 
 	// AlgAuto machinery: the tuner resolves auto operations to concrete
-	// algorithms (tuning table + online refinement), pipelined keys the
-	// tuning cell, and autoSel caches the per-algorithm selection
-	// counters of the encag_auto_selected_total family.
-	tuner     *tune.Tuner
-	refine    bool
-	pipelined bool
-	autoMu    sync.Mutex
-	autoSel   map[Alg]*metrics.Counter
+	// algorithms (tuning table + online refinement), and autoSel caches
+	// the per-algorithm selection counters of the
+	// encag_auto_selected_total family.
+	tuner   *tune.Tuner
+	refine  bool
+	autoMu  sync.Mutex
+	autoSel map[Alg]*metrics.Counter
 }
 
 // OpenSession validates the spec, stands up the persistent engine state
@@ -275,9 +243,6 @@ func OpenSession(ctx context.Context, spec Spec, opts ...Option) (*Session, erro
 		return nil, err
 	}
 	cfg := cluster.SessionConfig{Engine: kind, Plan: o.plan, Profile: o.profile, CryptoPool: o.pool}
-	if o.pipeSet {
-		cfg.Pipeline = cluster.PipelineConfig{Enabled: o.pipelining, SegmentWindow: o.segWindow}
-	}
 	if o.tracer != nil {
 		cfg.Tracer = o.tracer
 	}
@@ -290,16 +255,15 @@ func OpenSession(ctx context.Context, spec Spec, opts ...Option) (*Session, erro
 		eng = EngineChan
 	}
 	s := &Session{
-		spec:      spec,
-		cs:        cs,
-		engine:    eng,
-		plan:      o.plan,
-		inner:     inner,
-		nb:        sched.New[*RunResult](o.maxInFlight),
-		tuner:     tune.NewTuner(tab, autoCandidate),
-		refine:    !o.refineSet || o.refine,
-		pipelined: o.pipeSet && o.pipelining,
-		autoSel:   make(map[Alg]*metrics.Counter),
+		spec:    spec,
+		cs:      cs,
+		engine:  eng,
+		plan:    o.plan,
+		inner:   inner,
+		nb:      sched.New[*RunResult](o.maxInFlight),
+		tuner:   tune.NewTuner(tab, autoCandidate),
+		refine:  !o.refineSet || o.refine,
+		autoSel: make(map[Alg]*metrics.Counter),
 	}
 	// The nonblocking window lives in this layer, so its metrics are
 	// registered here, into the same registry the cluster session fills.

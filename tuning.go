@@ -12,7 +12,7 @@ import (
 
 // TuningTable is the measured selection policy behind AlgAuto: a
 // versioned table of per-algorithm latency estimates keyed on
-// (size-bucket, p, N, engine, pipelining), produced by an offline sweep
+// (size-bucket, p, N, engine), produced by an offline sweep
 // (cmd/encag-tune). Load one with LoadTuningTable and attach it with
 // WithTuningTable; without one, AlgAuto uses the paper-calibrated byte
 // thresholds.
@@ -32,8 +32,8 @@ func LoadTuningTable(path string) (*TuningTable, error) {
 
 // WithTuningTable attaches a measured tuning table to the session
 // (session-level only): AlgAuto operations select the lowest-latency
-// algorithm the table records for their (size-bucket, p, N, engine,
-// pipelining) cell, falling back to the nearest same-engine cell and
+// algorithm the table records for their (size-bucket, p, N, engine)
+// cell, falling back to the nearest same-engine cell and
 // then to the built-in thresholds. Pass nil to force built-ins even
 // when ENCAG_TUNING_TABLE is set.
 func WithTuningTable(t *TuningTable) Option {
@@ -85,11 +85,10 @@ func autoCandidate(name string) bool {
 // tuneKey is the tuning-cell key of one operation on this session.
 func (s *Session) tuneKey(maxSize int64) tune.Key {
 	return tune.Key{
-		Bucket:    tune.BucketOf(maxSize),
-		P:         s.cs.P,
-		N:         s.cs.N,
-		Engine:    string(s.engine),
-		Pipelined: s.pipelined,
+		Bucket: tune.BucketOf(maxSize),
+		P:      s.cs.P,
+		N:      s.cs.N,
+		Engine: string(s.engine),
 	}
 }
 
